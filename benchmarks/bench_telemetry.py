@@ -7,8 +7,15 @@ through the event loop three times — ``telemetry="off"``,
 ``"metrics"``, and ``"trace"`` — with identical seeds, so every mode
 simulates the exact same run and only the instrumentation differs.
 
-Each mode is timed best-of-``--repeats`` wall clock.  The script fails
-when:
+Each of ``--repeats`` rounds plays the three modes' loops in lock
+step: every loop serves ``SEGMENT`` arrivals, then hands the turn to
+the next, so segment *k* of every mode covers the same arrivals and
+the same simulated work, milliseconds apart on the host.  A mode's
+overhead is the median, over every segment of every round, of its
+segment wall clock divided by the ``off`` loop's.  A slow spell of the
+host then hits both sides of nearly every pair and cancels in the
+ratio; whole-run timings, best-of or paired, could not resolve a 10%
+bound on a shared host.  The script fails when:
 
 * the metrics-mode wall overhead over ``off`` exceeds the bound (the
   registry-backed stats must stay a thin view): < 3% on the full run,
@@ -38,7 +45,9 @@ import argparse
 import gc
 import hashlib
 import json
+import statistics
 import sys
+import threading
 import time
 from pathlib import Path
 
@@ -61,6 +70,10 @@ UTILIZATION = 0.7
 
 #: Trace mode may cost at most this many times the off-mode wall.
 TRACE_BOUND = 5.0
+
+#: Arrivals each loop serves before passing the turn (about 60 ms of
+#: host time per segment in off mode on a 2-core shared host).
+SEGMENT = 1000
 
 
 def _train(train_programs: int, seed: int):
@@ -86,8 +99,67 @@ def calibrate_rate(keys, train_programs: int, seed: int) -> float:
     return UTILIZATION / mean_s
 
 
-def run_mode(
-    mode: str,
+def play_in_lock_step(runs: dict, segment: int) -> dict:
+    """Run several event loops in turn, ``segment`` arrivals at a time.
+
+    ``runs`` maps a name to ``(loop, arrival stream)``; the turn passes
+    in the mapping's order.  Each loop runs on its own thread, but only
+    the thread holding the turn is ever runnable, so the loops never
+    overlap.  Returns each name's ``(stats, segment wall seconds)``;
+    the last segment includes the loop's final drain.
+    """
+    names = list(runs)
+    turns = {name: threading.Semaphore(0) for name in names}
+    segments: dict[str, list[float]] = {name: [] for name in names}
+    results: dict[str, object] = {}
+    done: set[str] = set()
+
+    def pass_turn(name: str) -> None:
+        i = names.index(name)
+        for step in range(1, len(names) + 1):
+            following = names[(i + step) % len(names)]
+            if following not in done:
+                turns[following].release()
+                return
+
+    def play(name: str) -> None:
+        loop, stream = runs[name]
+        turns[name].acquire()
+        start = time.perf_counter()
+
+        def gated():
+            nonlocal start
+            for i, item in enumerate(stream):
+                if i and i % segment == 0:
+                    segments[name].append(time.perf_counter() - start)
+                    pass_turn(name)
+                    turns[name].acquire()
+                    start = time.perf_counter()
+                yield item
+
+        try:
+            results[name] = loop.run(gated())
+            segments[name].append(time.perf_counter() - start)
+        except BaseException as exc:  # re-raised on the main thread below
+            results[name] = exc
+        finally:
+            done.add(name)
+            pass_turn(name)
+
+    threads = [threading.Thread(target=play, args=(name,)) for name in names]
+    for thread in threads:
+        thread.start()
+    turns[names[0]].release()
+    for thread in threads:
+        thread.join()
+    for result in results.values():
+        if isinstance(result, BaseException):
+            raise result
+    return {name: (results[name], segments[name]) for name in names}
+
+
+def run_round(
+    order,
     keys,
     num_requests: int,
     rate_rps: float,
@@ -95,20 +167,18 @@ def run_mode(
     train_programs: int,
     seed: int,
 ):
-    """One freshly-trained service and loop in ``mode`` over the trace.
+    """One freshly-trained service and loop per mode, played in lock step.
 
     Training is repeated per run (not hoisted) because serving mutates
     the trained system in place — a shared instance would make later
     modes replay a *different* simulation and break the fingerprint
-    gate.  Only the loop itself is timed, so the retrain does not
+    gate.  Only the loops themselves are timed, so the retrain does not
     pollute the wall-clock comparison.
 
-    Returns ``(doc, telemetry)`` — the telemetry context is kept so
-    trace-mode repeats can be compared for byte-identical exports.
+    Returns ``{mode: (doc, telemetry, segment seconds)}`` — the
+    telemetry context is kept so trace-mode repeats can be compared for
+    byte-identical exports.
     """
-    service = PartitioningService(
-        _train(train_programs, seed), ServiceConfig(instance_seed=seed)
-    )
     spec = WorkloadSpec(
         family="stationary",
         num_requests=num_requests,
@@ -117,32 +187,43 @@ def run_mode(
         arrival="poisson",
         rate_rps=rate_rps,
     )
-    telemetry = Telemetry.from_mode(mode)
-    config = EventLoopConfig(slo=SLOConfig(target_s=slo_s), telemetry=telemetry)
-    loop = EventLoop.for_service(service, config)
-    # Flush the training garbage so collector pauses triggered by a
-    # previous run's allocations do not land inside this timed region.
+    services, telemetries, runs = {}, {}, {}
+    for mode in order:
+        services[mode] = PartitioningService(
+            _train(train_programs, seed), ServiceConfig(instance_seed=seed)
+        )
+        telemetries[mode] = Telemetry.from_mode(mode)
+        config = EventLoopConfig(
+            slo=SLOConfig(target_s=slo_s), telemetry=telemetries[mode]
+        )
+        loop = EventLoop.for_service(services[mode], config)
+        runs[mode] = (loop, stream_timed_items(spec, keys))
+    # Flush the training garbage so collector pauses triggered by its
+    # allocations do not land inside the timed loops.
     gc.collect()
-    t0 = time.perf_counter()
-    stats = loop.run(stream_timed_items(spec, keys))
-    wall_s = time.perf_counter() - t0
-    if telemetry is not None:
-        telemetry.collect(service, stats=stats)
-    doc = {
-        "mode": mode,
-        "arrivals": stats.arrivals,
-        "completed": stats.completed,
-        "shed": stats.shed,
-        "latency": stats.latency.to_dict(),
-        "wall_s": wall_s,
-        "wall_rps": num_requests / wall_s if wall_s > 0 else 0.0,
-        # The simulation must be byte-for-byte unaffected by the mode.
-        "fingerprint": {
-            "latency_counts": list(stats.latency.counts),
-            "latency_zeros": stats.latency.zeros,
-        },
-    }
-    return doc, telemetry
+    played = play_in_lock_step(runs, SEGMENT)
+    out = {}
+    for mode, (stats, segments) in played.items():
+        telemetry = telemetries[mode]
+        if telemetry is not None:
+            telemetry.collect(services[mode], stats=stats)
+        wall_s = sum(segments)
+        doc = {
+            "mode": mode,
+            "arrivals": stats.arrivals,
+            "completed": stats.completed,
+            "shed": stats.shed,
+            "latency": stats.latency.to_dict(),
+            "wall_s": wall_s,
+            "wall_rps": num_requests / wall_s if wall_s > 0 else 0.0,
+            # The simulation must be byte-for-byte unaffected by the mode.
+            "fingerprint": {
+                "latency_counts": list(stats.latency.counts),
+                "latency_zeros": stats.latency.zeros,
+            },
+        }
+        out[mode] = (doc, telemetry, segments)
+    return out
 
 
 def check_against(doc: dict, baseline_path: Path, max_regression: float) -> list[str]:
@@ -174,7 +255,10 @@ def main(argv=None) -> int:
         help="trace length (default: 200,000; quick: 20,000)",
     )
     parser.add_argument(
-        "--repeats", type=int, default=3, help="wall timings per mode (best-of)"
+        "--repeats",
+        type=int,
+        default=3,
+        help="lock-step rounds; overheads are medians of per-segment ratios",
     )
     parser.add_argument("--seed", type=int, default=0)
     parser.add_argument("--output", default="BENCH_telemetry.json")
@@ -195,19 +279,20 @@ def main(argv=None) -> int:
     slo_s = 4.0 * UTILIZATION / rate_rps
     print(f"calibrated arrival rate: {rate_rps:.1f} req/s ({UTILIZATION:.0%} load)")
 
-    # Repeats are round-robined across the modes (off, metrics, trace,
-    # off, metrics, ...) so slow ambient periods — CI neighbours, page
-    # cache churn — hit every mode equally instead of biasing whichever
-    # mode happened to run during them; best-of then compares mode
-    # floors, not mode luck.
+    # The turn order flips every round (off, metrics, trace, then
+    # trace, metrics, off) so no mode always serves a segment first.
     modes: dict[str, dict] = {}
+    ratios: dict[str, list[float]] = {mode: [] for mode in TELEMETRY_MODES}
     exports: list[list[str]] = []
     analyzer = None
-    for _ in range(max(1, args.repeats)):
-        for mode in TELEMETRY_MODES:
-            doc, telemetry = run_mode(
-                mode, keys, num_requests, rate_rps, slo_s, train_programs, args.seed
-            )
+    for round_index in range(max(1, args.repeats)):
+        order = TELEMETRY_MODES if round_index % 2 == 0 else TELEMETRY_MODES[::-1]
+        played = run_round(
+            order, keys, num_requests, rate_rps, slo_s, train_programs, args.seed
+        )
+        off_segments = played["off"][2]
+        for mode, (doc, telemetry, segments) in played.items():
+            ratios[mode].extend(s / o for s, o in zip(segments, off_segments))
             best = modes.get(mode)
             if best is None or doc["wall_s"] < best["wall_s"]:
                 modes[mode] = doc
@@ -228,9 +313,12 @@ def main(argv=None) -> int:
         if result["fingerprint"] != modes["off"]["fingerprint"]:
             failures.append(f"{mode}: telemetry perturbed the simulation")
 
-    metrics_overhead = modes["metrics"]["wall_s"] / modes["off"]["wall_s"] - 1.0
-    trace_ratio = modes["trace"]["wall_s"] / modes["off"]["wall_s"]
-    print(f"metrics overhead over off: {metrics_overhead:+.1%}")
+    metrics_overhead = statistics.median(ratios["metrics"]) - 1.0
+    trace_ratio = statistics.median(ratios["trace"])
+    print(
+        f"metrics overhead over off: {metrics_overhead:+.1%} "
+        f"(median of {len(ratios['metrics'])} segment ratios)"
+    )
     print(f"trace wall over off:       {trace_ratio:.2f}x")
     if metrics_overhead > metrics_bound:
         failures.append(
@@ -278,6 +366,8 @@ def main(argv=None) -> int:
         "metrics_overhead": metrics_overhead,
         "metrics_bound": metrics_bound,
         "trace_ratio": trace_ratio,
+        "segment": SEGMENT,
+        "segment_ratios": ratios,
         "trace_lines": len(exports[0]),
         "trace_digest": trace_digest,
         "byte_identical": byte_identical,

@@ -472,7 +472,7 @@ class ClusterRouter:
             self.network_s += net_s
             self.network_j += net_j
         if isinstance(request, GraphServingRequest):
-            response = pool.replicas[local].service.submit_graph(request)
+            response = pool.replicas[local].service._submit_graph(request)
             return _GraphClusterResponse(
                 pool_index=pool_index,
                 home_pool=home,

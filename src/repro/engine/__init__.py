@@ -16,7 +16,10 @@ composition time through the *runner's own* per-device noise streams,
 in the exact order the unmemoized scheduler would have enqueued the
 commands — so memoized measurements are bit-identical to unmemoized
 ones at ``noise_sigma=0`` and statistically indistinguishable (same
-stream, same labels, same order) under noise.
+stream, same labels, same order) under noise.  With no noise model at
+all the finished result, and the finished median-of-repetitions run,
+are cached per (request, partitioning); a cache hit still books every
+repetition into the runner's session stats.
 
 Energy rides on the same tapes: each cached command carries its
 average dynamic watts next to its duration, and compositions replay

@@ -113,6 +113,8 @@ class SweepEngine:
         # finished ExecutionResult itself can be cached per partitioning.
         self._deterministic = all(d.noise is None for d in runner.devices)
         self._results: dict[tuple, ExecutionResult] = {}
+        # ...and so can the finished median-of-repetitions run.
+        self._runs: dict[tuple, MeasuredRun] = {}
         self._tapes: dict[tuple, _Tape] = {}
         self._chunks: dict[tuple, tuple[tuple[DeviceChunk, ...], bool]] = {}
         self._meta: dict[int, _RequestMeta] = {}
@@ -127,6 +129,7 @@ class SweepEngine:
     def reset(self) -> None:
         """Drop all cached tapes and plans (between campaigns)."""
         self._results.clear()
+        self._runs.clear()
         self._tapes.clear()
         self._chunks.clear()
         self._meta.clear()
@@ -257,6 +260,21 @@ class SweepEngine:
 
     # -- composition -------------------------------------------------------
 
+    def _check_drift(self) -> None:
+        """Drop every cached duration priced on pre-drift hardware.
+
+        Platform drift rescales device cost models, so tapes, kernel
+        times, finished results and finished runs are all stale.  Plans
+        and request metadata are duration-free and survive.
+        """
+        generation = self.runner.drift_generation
+        if generation != self._drift_generation:
+            self._results.clear()
+            self._runs.clear()
+            self._tapes.clear()
+            self._kernel_s.clear()
+            self._drift_generation = generation
+
     def _compose(
         self, request: ExecutionRequest, partitioning: Partitioning
     ) -> ExecutionResult:
@@ -267,16 +285,7 @@ class SweepEngine:
                 f"runner has {len(self.runner.devices)} devices"
             )
         self.stats.compositions += 1
-        # Platform drift rescales device cost models; every cached
-        # duration (tape, kernel time, finished result) is priced on the
-        # pre-drift hardware and must be dropped.  Plans and request
-        # metadata are duration-free and survive.
-        generation = self.runner.drift_generation
-        if generation != self._drift_generation:
-            self._results.clear()
-            self._tapes.clear()
-            self._kernel_s.clear()
-            self._drift_generation = generation
+        self._check_drift()
         rid = self._request_id(request)
         result_key = (rid, partitioning.shares)
         if self._deterministic:
@@ -331,6 +340,17 @@ class SweepEngine:
         """Median-of-repetitions timing, composed from cached tapes."""
         if repetitions < 1:
             raise ValueError("repetitions must be >= 1")
+        if self._deterministic:
+            self._check_drift()
+            run_key = (self._request_id(request), partitioning.shares, repetitions)
+            run = self._runs.get(run_key)
+            if run is not None:
+                # Book the repetitions a recomposition would have made,
+                # so session telemetry cannot tell the memo apart.
+                self.stats.compositions += repetitions
+                for _ in range(repetitions):
+                    self.runner.stats.record(run.result)
+                return run
         samples: list[float] = []
         energy_samples: list[float] = []
         result: ExecutionResult | None = None
@@ -342,7 +362,7 @@ class SweepEngine:
             energy_samples.append(r.energy_j)
             self.runner.stats.record(r)
         assert result is not None
-        return MeasuredRun(
+        run = MeasuredRun(
             partitioning=partitioning,
             median_s=statistics.median(samples),
             samples_s=tuple(samples),
@@ -350,6 +370,9 @@ class SweepEngine:
             energy_j=statistics.median(energy_samples),
             energy_samples_j=tuple(energy_samples),
         )
+        if self._deterministic:
+            self._runs[run_key] = run
+        return run
 
     def time_of(
         self,

@@ -660,7 +660,7 @@ class FleetRouter:
     def serve_on(self, index: int, request: ServingRequest) -> FleetResponse:
         """Serve one already-placed request on the chosen replica."""
         replica = self.replicas[index]
-        response = replica.service.submit(request)
+        response = replica.service._submit(request, None)
         if self.health.enabled:
             self._observe_health(replica, response)
         return FleetResponse(

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 __all__ = [
     "Partitioning",
@@ -87,7 +87,7 @@ class Partitioning:
         """Share of device ``device_index`` as a fraction in [0, 1]."""
         return self.shares[device_index] / 100.0
 
-    @property
+    @cached_property
     def label(self) -> str:
         """Compact display form, e.g. ``"50/30/20"``."""
         return "/".join(str(s) for s in self.shares)

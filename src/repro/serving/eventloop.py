@@ -59,7 +59,7 @@ it is opt-in: with the new knobs at their defaults the loop replays
 pre-cluster traces event for event.
 
 Replicas serve one request at a time.  Execution time comes from the
-normal serving loop (:meth:`PartitioningService.submit` at service
+normal serving core (``PartitioningService._submit`` at service
 *start*, so adaptation/refit state evolves in start order exactly as
 it would synchronously); predict time is a configurable simulated cost
 that distinguishes a cache hit from a model inference.  Between
@@ -511,7 +511,12 @@ class _ReplicaState:
 
 
 class _ServiceBackend:
-    """One :class:`PartitioningService` behind the loop."""
+    """One :class:`PartitioningService` behind the loop.
+
+    Every backend calls the per-request serving cores (``_submit`` /
+    ``_submit_graph``) directly: the public ``submit`` shims would
+    re-enter :func:`~repro.serving.serve_trace` once per request.
+    """
 
     def __init__(self, service: "PartitioningService"):
         self.services = [service]
@@ -523,8 +528,8 @@ class _ServiceBackend:
         self, index: int, request: "ServingRequest | GraphServingRequest"
     ) -> AnyResponse:
         if isinstance(request, GraphServingRequest):
-            return self.services[0].submit_graph(request)
-        return self.services[0].submit(request)
+            return self.services[0]._submit_graph(request)
+        return self.services[0]._submit(request, None)
 
     def tick(self, now_s: float) -> None:
         pass
@@ -549,7 +554,7 @@ class _FleetBackend:
         self, index: int, request: "ServingRequest | GraphServingRequest"
     ) -> AnyResponse:
         if isinstance(request, GraphServingRequest):
-            return self.services[index].submit_graph(request)
+            return self.services[index]._submit_graph(request)
         return self.router.serve_on(index, request).response
 
     def tick(self, now_s: float) -> None:

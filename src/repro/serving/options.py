@@ -28,11 +28,16 @@ stats instead of a response list.
 
 The pre-existing entrypoints still exist as thin shims over this
 facade and their outputs are golden-pinned bit-identical — old callers
-see nothing.
+see nothing.  The shims are for outside callers only: the facade's own
+sequential path, the event loop and the routers call the per-request
+cores (``PartitioningService._submit`` / ``_submit_graph``,
+``FleetRouter.serve_on``, ``ClusterRouter.serve_on``) directly, so one
+``serve_trace`` call enters the facade once, however long the trace.
 """
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, field, replace
 from typing import TYPE_CHECKING, Callable, Iterable, Sequence
 
@@ -166,6 +171,10 @@ class ServeResult:
     telemetry: Telemetry | None = None
 
 
+#: Marks an exhausted trace when peeking its first item.
+_EMPTY = object()
+
+
 def _backend_kind(backend) -> str:
     from ..cluster.router import ClusterRouter
     from ..fleet.router import FleetRouter
@@ -238,7 +247,7 @@ def _sequential(backend, kind: str, requests: list, options: ServeOptions) -> tu
         for r in requests:
             if isinstance(r, GraphServingRequest):
                 index = r.request_id % len(backend.replicas)
-                responses.append(backend.replicas[index].service.submit_graph(r))
+                responses.append(backend.replicas[index].service._submit_graph(r))
             else:
                 responses.append(backend.submit(r))
         return tuple(responses)
@@ -259,7 +268,8 @@ def serve_trace(
     event path only — an already-timed stream of ``(arrival_s,
     payload)`` items (e.g. :meth:`Workload.timed_items`), in which case
     the options' arrival process is ignored in favour of the stream's
-    own timestamps.
+    own timestamps.  A timed stream is consumed lazily, so a generator
+    of any length is served in bounded memory.
 
     On a cluster backend the router's per-tenant isolation meters are
     fed automatically; a caller's ``on_complete`` chains after them.
@@ -267,8 +277,13 @@ def serve_trace(
     kind = _backend_kind(backend)
     _check_build_knobs(backend, kind, options)
     telemetry = Telemetry.from_mode(options.telemetry)
-    items = list(trace)
-    pretimed = bool(items) and isinstance(items[0], tuple)
+    # Peek one item: a timed stream goes to the loop unlisted.  A plain
+    # request trace is listed, since the arrival draws need its length.
+    items = iter(trace)
+    first = next(items, _EMPTY)
+    pretimed = isinstance(first, tuple)
+    if not pretimed:
+        items = [] if first is _EMPTY else [first, *items]
     if options.arrival == "sequential" and not pretimed:
         if on_complete is not None or drift_handler is not None:
             raise ValueError(
@@ -289,7 +304,7 @@ def serve_trace(
             telemetry=telemetry,
         )
     if pretimed:
-        stream = items
+        stream = itertools.chain((first,), items)
     else:
         from ..workloads.arrivals import arrival_times
         from ..workloads.spec import WorkloadSpec

@@ -441,11 +441,13 @@ class PartitioningService:
     # -- the serving loop -------------------------------------------------
     #
     # The public entrypoints below are thin shims over the unified
-    # ``serve_trace`` facade (:mod:`repro.serving.options`); the serving
-    # cores are the private ``_submit`` / ``_submit_many`` /
-    # ``_submit_graph`` the facade dispatches back into.  Shim and
-    # direct call produce bit-identical responses (golden-pinned in the
-    # test suite).
+    # ``serve_trace`` facade (:mod:`repro.serving.options`), kept for
+    # outside callers.  The serving cores are the private ``_submit`` /
+    # ``_submit_many`` / ``_submit_graph``: the facade's sequential
+    # path, the event loop and the fleet/cluster routers call them
+    # directly, so no request re-enters the facade.  Shim and direct
+    # call produce bit-identical responses (golden-pinned in the test
+    # suite).
 
     def submit(self, request: ServingRequest) -> ServedResponse:
         """Serve one launch request end-to-end."""
@@ -547,7 +549,7 @@ class PartitioningService:
         # Every measured run — adapted or not — lands in the database.
         self.system.database.merge_timings(
             *key,
-            features=dict(self._features[key]),
+            features=self._features[key],
             timings=timings,
             energies=energies,
         )
@@ -568,7 +570,11 @@ class PartitioningService:
 
     def serve(self, trace: Sequence[ServingRequest]) -> list[ServedResponse]:
         """Serve a whole trace sequentially; returns per-request responses."""
-        return [self.submit(r) for r in trace]
+        from .options import ServeOptions, serve_trace
+
+        return list(
+            serve_trace(self, trace, ServeOptions(batch_predict=False)).responses
+        )
 
     def submit_many(self, trace: Sequence[ServingRequest]) -> list[ServedResponse]:
         """Serve a whole trace with batched model inference.
@@ -789,7 +795,7 @@ class PartitioningService:
             self._execution_request(get_benchmark(node.program), node_key)
             self.system.database.merge_timings(
                 *node_key,
-                features=dict(self._features[node_key]),
+                features=self._features[node_key],
                 timings={node_run.partitioning.label: node_run.median_s},
                 energies={node_run.partitioning.label: node_run.energy_j},
             )

@@ -110,6 +110,48 @@ def test_repeated_measurements_hit_the_result_cache():
     assert engine.runner.stats.executions == 2
 
 
+def _session(runner):
+    s = runner.stats
+    return (s.executions, s.simulated_s, s.energy_j, s.device_busy_s, s.device_idle_s)
+
+
+def test_noise_free_runs_are_memoized_without_changing_telemetry():
+    bench = get_benchmark("vec_add")
+    request = bench.request(bench.make_instance(1 << 12, seed=0))
+    p = Partitioning((60, 30, 10))
+    memo = SweepEngine(Runner(MC2))
+    fresh = SweepEngine(Runner(MC2))
+
+    runs = [memo.measure(request, p, repetitions=3) for _ in range(3)]
+    fresh_runs = []
+    for _ in range(3):
+        fresh.reset()  # forces every measurement to recompose
+        fresh_runs.append(fresh.measure(request, p, repetitions=3))
+
+    assert runs[1] is runs[0] and runs[2] is runs[0]
+    assert runs[0] == fresh_runs[0]
+    # One composition and one session record per repetition, hit or not.
+    assert memo.stats.compositions == fresh.stats.compositions == 9
+    assert _session(memo.runner) == _session(fresh.runner)
+    # Repetition counts are part of the key.
+    assert memo.measure(request, p, repetitions=1).repetitions == 1
+
+
+def test_drift_invalidates_memoized_runs():
+    bench = get_benchmark("vec_add")
+    request = bench.request(bench.make_instance(1 << 12, seed=0))
+    p = Partitioning((0, 50, 50))
+    engine = SweepEngine(Runner(MC2))
+    before = engine.measure(request, p)
+    engine.runner.apply_drift(0.5, device_index=1)
+    after = engine.measure(request, p)
+
+    drifted = Runner(MC2)
+    drifted.apply_drift(0.5, device_index=1)
+    assert after.median_s > before.median_s
+    assert after == SweepEngine(drifted).measure(request, p)
+
+
 def test_measure_validates_arguments():
     bench = get_benchmark("vec_add")
     request = bench.request(bench.make_instance(1 << 12, seed=0))

@@ -1,5 +1,7 @@
 """Tests for the partition space and ND-range splitting."""
 
+import pickle
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -88,6 +90,13 @@ class TestPartitioning:
         p = Partitioning((50, 30, 20))
         assert Partitioning.from_label(p.label) == p
         assert str(p) == "50/30/20"
+
+    def test_label_is_computed_once_and_leaves_identity_alone(self):
+        p = Partitioning((50, 30, 20))
+        assert p.label is p.label
+        q = Partitioning((50, 30, 20))
+        assert p == q and hash(p) == hash(q)  # a cached label is not a field
+        assert pickle.loads(pickle.dumps(p)).label == "50/30/20"
 
     def test_active_devices(self):
         assert Partitioning((0, 100, 0)).active_devices == (1,)
