@@ -502,6 +502,37 @@ def save_model(model: "PartitioningModel", path) -> None:
     Path(path).write_text(json.dumps(doc))
 
 
+def _restore_mlp(clf: MLPClassifier, state: dict, n_features: int) -> None:
+    """Restore a saved MLP, checking that its layer shapes chain.
+
+    Weights must map ``n_features`` through the saved hidden layers to
+    one output per class; a ValueError names the first layer that does
+    not.
+    """
+    hidden = tuple(state["hidden_layers"])
+    # A fresh instance rejects an unknown activation or layer size.
+    MLPClassifier(hidden_layers=hidden, activation=state["activation"])
+    classes = np.asarray(state["classes"])
+    weights = [np.asarray(w, dtype=np.float64) for w in state["weights"]]
+    biases = [np.asarray(b, dtype=np.float64) for b in state["biases"]]
+    sizes = [n_features, *hidden, len(classes)]
+    layers = len(sizes) - 1
+    for i in range(max(layers, len(weights), len(biases))):
+        want = ((sizes[i], sizes[i + 1]), (sizes[i + 1],)) if i < layers else None
+        got = tuple(a[i].shape if i < len(a) else None for a in (weights, biases))
+        if got != want:
+            raise ValueError(
+                f"saved MLP layer {i}: weight and bias shapes {got}, expected "
+                f"{want} for {n_features} features, hidden layers {hidden} "
+                f"and {len(classes)} classes"
+            )
+    clf.hidden_layers = hidden
+    clf.activation = state["activation"]
+    clf.classes_ = classes
+    clf._weights = weights
+    clf._biases = biases
+
+
 def load_model(path) -> "PartitioningModel":
     """Load a model written by :func:`save_model`."""
     import json
@@ -523,9 +554,7 @@ def load_model(path) -> "PartitioningModel":
     state = doc["classifier"]
     clf = model.classifier
     if isinstance(clf, MLPClassifier):
-        clf.classes_ = np.asarray(state["classes"])
-        clf._weights = [np.asarray(w, dtype=np.float64) for w in state["weights"]]
-        clf._biases = [np.asarray(b, dtype=np.float64) for b in state["biases"]]
+        _restore_mlp(clf, state, len(model.feature_names_))
     elif isinstance(clf, KNeighborsClassifier):
         clf._X = np.asarray(state["X"], dtype=np.float64)
         clf._y = np.asarray(state["y"])

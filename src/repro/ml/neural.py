@@ -17,19 +17,200 @@ from .base import Classifier, check_Xy
 
 __all__ = ["MLPClassifier", "MLPRegressor"]
 
+
+def _tanh_grad(a: np.ndarray, out: np.ndarray) -> np.ndarray:
+    np.multiply(a, a, out=out)
+    return np.subtract(1.0, out, out=out)
+
+
+#: Hidden activations: ``(act(z, out), grad(a, out))``.  ``act`` maps the
+#: pre-activation ``z``; ``grad`` writes the derivative in terms of the
+#: activation ``a``.  Both write into ``out`` (``z`` itself, for ``act``).
 _ACTIVATIONS = {
-    "tanh": (np.tanh, lambda a: 1.0 - a * a),
-    "relu": (lambda z: np.maximum(z, 0.0), lambda a: (a > 0.0).astype(a.dtype)),
+    "tanh": (np.tanh, _tanh_grad),
+    "relu": (
+        lambda z, out: np.maximum(z, 0.0, out=out),
+        lambda a, out: np.greater(a, 0.0, out=out),
+    ),
 }
 
 
 def _softmax(z: np.ndarray) -> np.ndarray:
-    z = z - z.max(axis=1, keepdims=True)
-    e = np.exp(z)
-    return e / e.sum(axis=1, keepdims=True)
+    """Row-wise softmax of ``z``, in place."""
+    z -= np.maximum.reduce(z, axis=1, keepdims=True)
+    np.exp(z, out=z)
+    z /= np.add.reduce(z, axis=1, keepdims=True)
+    return z
 
 
-class MLPClassifier(Classifier):
+def _cross_entropy(
+    z: np.ndarray, onehot: np.ndarray, y_idx: np.ndarray, delta: np.ndarray
+) -> float:
+    """Softmax cross-entropy head: batch loss, dLoss/dz into ``delta``."""
+    probs = _softmax(z)
+    picked = probs[np.arange(len(y_idx)), y_idx]
+    loss = -float(np.add.reduce(np.log(picked + 1e-12)))
+    np.subtract(probs, onehot, out=delta)
+    np.divide(delta, len(y_idx), out=delta)
+    return loss
+
+
+def _squared_error(z: np.ndarray, y: np.ndarray, delta: np.ndarray) -> float:
+    """Identity-output MSE head: batch loss, dLoss/dz into ``delta``."""
+    err = delta[:, 0]
+    np.subtract(z[:, 0], y, out=err)
+    loss = float(err @ err)
+    np.divide(err, len(y), out=err)
+    return loss
+
+
+def _layer_views(flat: np.ndarray, shapes: list) -> tuple[list, list]:
+    """Per-layer weight and bias views into one flat buffer."""
+    weights, biases = [], []
+    at = 0
+    for fan_in, fan_out in shapes:
+        weights.append(flat[at : at + fan_in * fan_out].reshape(fan_in, fan_out))
+        at += fan_in * fan_out
+        biases.append(flat[at : at + fan_out])
+        at += fan_out
+    return weights, biases
+
+
+class _MLP:
+    """Forward pass and Adam training shared by both MLPs."""
+
+    def __init__(self):
+        """Validate the hyperparameters a subclass has set; start unfitted."""
+        if self.activation not in _ACTIVATIONS:
+            raise ValueError(f"unknown activation {self.activation!r}")
+        if any(h < 1 for h in self.hidden_layers):
+            raise ValueError("hidden layer sizes must be positive")
+        if self.epochs < 1 or self.batch_size < 1:
+            raise ValueError("epochs and batch_size must be positive")
+        self._weights: list[np.ndarray] = []
+        self._biases: list[np.ndarray] = []
+        self.loss_curve_: list[float] = []
+
+    def _init_params(self, d: int, n_out: int, rng: np.random.Generator) -> None:
+        sizes = [d, *self.hidden_layers, n_out]
+        self._weights = []
+        self._biases = []
+        for fan_in, fan_out in zip(sizes[:-1], sizes[1:]):
+            # Xavier/Glorot initialization.
+            limit = np.sqrt(6.0 / (fan_in + fan_out))
+            self._weights.append(rng.uniform(-limit, limit, size=(fan_in, fan_out)))
+            self._biases.append(np.zeros(fan_out))
+
+    def _forward(self, X: np.ndarray) -> np.ndarray:
+        """Output-layer pre-activation (hidden layers activated)."""
+        act, _ = _ACTIVATIONS[self.activation]
+        a = X
+        for i, (W, b) in enumerate(zip(self._weights, self._biases)):
+            a = a @ W
+            a += b
+            if i < len(self._weights) - 1:
+                act(a, a)
+        return a
+
+    def _adam(self, X, targets, epochs, rng, head) -> None:
+        """Mini-batched Adam with early stopping over the current weights.
+
+        Weights and biases are packed into one flat buffer (``_weights``
+        and ``_biases`` become views of it), as are the gradients and
+        both moments, so one step updates every layer with a dozen
+        in-place ufuncs.  Every float operation keeps the order and
+        operands of a per-array Adam update: training is bit-identical
+        to one.  Each epoch permutes ``X`` and ``targets`` once.
+        ``head(z, *target_batches, delta)`` returns a batch's loss from
+        the output pre-activation ``z`` and writes dLoss/dz to ``delta``.
+        """
+        act, grad = _ACTIVATIONS[self.activation]
+        shapes = [W.shape for W in self._weights]
+        params = np.concatenate(
+            [a.ravel() for W, b in zip(self._weights, self._biases) for a in (W, b)]
+        )
+        self._weights, self._biases = weights, biases = _layer_views(params, shapes)
+        grads = np.empty_like(params)
+        grad_W, grad_b = _layer_views(grads, shapes)
+        m, v = np.zeros_like(params), np.zeros_like(params)
+        s1, s2 = np.empty_like(params), np.empty_like(params)
+        decay_W, _ = _layer_views(s1, shapes)
+        beta1, beta2, eps = 0.9, 0.999, 1e-8
+        lr, l2 = self.learning_rate, self.l2
+        step = 0
+
+        n = len(X)
+        batch = min(self.batch_size, n)
+        # Pre-activations (activated in place), deltas and activation
+        # derivatives per layer, for each of the (at most two) batch sizes.
+        buffers = {
+            b: tuple([np.empty((b, W.shape[1])) for W in weights] for _ in range(3))
+            for b in {min(batch, n - start) for start in range(0, n, batch)}
+        }
+        last = len(weights) - 1
+        best_loss = np.inf
+        stale = 0
+        self.loss_curve_ = []
+        for _epoch in range(epochs):
+            order = rng.permutation(n)
+            X_epoch = X[order]
+            targets_epoch = [t[order] for t in targets]
+            epoch_loss = 0.0
+            for start in range(0, n, batch):
+                stop = start + batch
+                xb = X_epoch[start:stop]
+                zs, deltas, da = buffers[len(xb)]
+                a = xb
+                for i in range(last + 1):
+                    np.matmul(a, weights[i], out=zs[i])
+                    zs[i] += biases[i]
+                    if i < last:
+                        act(zs[i], zs[i])
+                    a = zs[i]
+                epoch_loss += head(
+                    zs[last], *(t[start:stop] for t in targets_epoch), deltas[last]
+                )
+                # l2 * W for every layer at once; s1 is free until the step.
+                np.multiply(params, l2, out=s1)
+                for i in range(last, -1, -1):
+                    a = zs[i - 1] if i else xb  # the input of layer i
+                    np.matmul(a.T, deltas[i], out=grad_W[i])
+                    grad_W[i] += decay_W[i]
+                    np.add.reduce(deltas[i], axis=0, out=grad_b[i])
+                    if i:
+                        np.matmul(deltas[i], weights[i].T, out=deltas[i - 1])
+                        deltas[i - 1] *= grad(a, da[i - 1])
+                step += 1
+                corr1 = 1.0 - beta1**step
+                corr2 = 1.0 - beta2**step
+                # m = beta1 m + (1 - beta1) g;  v = beta2 v + (1 - beta2) g^2
+                m *= beta1
+                np.multiply(grads, 1 - beta1, out=s1)
+                m += s1
+                v *= beta2
+                np.square(grads, out=s1)
+                s1 *= 1 - beta2
+                v += s1
+                # params -= lr (m / corr1) / (sqrt(v / corr2) + eps)
+                np.divide(v, corr2, out=s1)
+                np.sqrt(s1, out=s1)
+                s1 += eps
+                np.divide(m, corr1, out=s2)
+                s2 *= lr
+                s2 /= s1
+                params -= s2
+            epoch_loss /= n
+            self.loss_curve_.append(epoch_loss)
+            if epoch_loss < best_loss - self.tol:
+                best_loss = epoch_loss
+                stale = 0
+            else:
+                stale += 1
+                if stale >= self.patience:
+                    break
+
+
+class MLPClassifier(_MLP, Classifier):
     """Multi-layer perceptron with softmax output.
 
     Args:
@@ -56,12 +237,6 @@ class MLPClassifier(Classifier):
         tol: float = 1e-5,
         patience: int = 30,
     ):
-        if activation not in _ACTIVATIONS:
-            raise ValueError(f"unknown activation {activation!r}")
-        if any(h < 1 for h in hidden_layers):
-            raise ValueError("hidden layer sizes must be positive")
-        if epochs < 1 or batch_size < 1:
-            raise ValueError("epochs and batch_size must be positive")
         self.hidden_layers = tuple(hidden_layers)
         self.activation = activation
         self.learning_rate = learning_rate
@@ -71,40 +246,8 @@ class MLPClassifier(Classifier):
         self.seed = seed
         self.tol = tol
         self.patience = patience
+        super().__init__()
         self.classes_: np.ndarray | None = None
-        self._weights: list[np.ndarray] = []
-        self._biases: list[np.ndarray] = []
-        self.loss_curve_: list[float] = []
-
-    # -- forward/backward ----------------------------------------------------
-
-    def _forward(self, X: np.ndarray) -> list[np.ndarray]:
-        """Return activations per layer; last entry is softmax output."""
-        act, _ = _ACTIVATIONS[self.activation]
-        a = X
-        activations = [a]
-        last = len(self._weights) - 1
-        for i, (W, b) in enumerate(zip(self._weights, self._biases)):
-            z = a @ W + b
-            a = _softmax(z) if i == last else act(z)
-            activations.append(a)
-        return activations
-
-    def _backward(
-        self, activations: list[np.ndarray], y_onehot: np.ndarray
-    ) -> tuple[list[np.ndarray], list[np.ndarray]]:
-        _, dact = _ACTIVATIONS[self.activation]
-        n = len(y_onehot)
-        grads_W: list[np.ndarray] = [np.empty(0)] * len(self._weights)
-        grads_b: list[np.ndarray] = [np.empty(0)] * len(self._biases)
-        # Softmax + cross-entropy gradient.
-        delta = (activations[-1] - y_onehot) / n
-        for i in range(len(self._weights) - 1, -1, -1):
-            grads_W[i] = activations[i].T @ delta + self.l2 * self._weights[i]
-            grads_b[i] = delta.sum(axis=0)
-            if i > 0:
-                delta = (delta @ self._weights[i].T) * dact(activations[i])
-        return grads_W, grads_b
 
     # -- training ------------------------------------------------------------
 
@@ -113,17 +256,8 @@ class MLPClassifier(Classifier):
         assert y is not None
         self.classes_, y_idx = np.unique(y, return_inverse=True)
         n_classes = len(self.classes_)
-        n, d = X.shape
         rng = np.random.default_rng(self.seed)
-
-        sizes = [d, *self.hidden_layers, n_classes]
-        self._weights = []
-        self._biases = []
-        for fan_in, fan_out in zip(sizes[:-1], sizes[1:]):
-            # Xavier/Glorot initialization.
-            limit = np.sqrt(6.0 / (fan_in + fan_out))
-            self._weights.append(rng.uniform(-limit, limit, size=(fan_in, fan_out)))
-            self._biases.append(np.zeros(fan_out))
+        self._init_params(X.shape[1], n_classes, rng)
 
         if n_classes == 1:
             # Degenerate single-class training set.
@@ -160,68 +294,12 @@ class MLPClassifier(Classifier):
         return self
 
     def _train_loop(
-        self,
-        X: np.ndarray,
-        y_idx: np.ndarray,
-        epochs: int,
-        rng: np.random.Generator,
+        self, X: np.ndarray, y_idx: np.ndarray, epochs: int, rng: np.random.Generator
     ) -> None:
-        """Mini-batched Adam with early stopping over the current weights."""
-        n = len(X)
-        n_classes = len(self.classes_)
-        onehot = np.zeros((n, n_classes))
-        onehot[np.arange(n), y_idx] = 1.0
-
-        # Adam state.
-        mW = [np.zeros_like(W) for W in self._weights]
-        vW = [np.zeros_like(W) for W in self._weights]
-        mb = [np.zeros_like(b) for b in self._biases]
-        vb = [np.zeros_like(b) for b in self._biases]
-        beta1, beta2, eps = 0.9, 0.999, 1e-8
-        step = 0
-
-        batch = min(self.batch_size, n)
-        best_loss = np.inf
-        stale = 0
-        self.loss_curve_ = []
-        for _epoch in range(epochs):
-            order = rng.permutation(n)
-            epoch_loss = 0.0
-            for start in range(0, n, batch):
-                idx = order[start : start + batch]
-                acts = self._forward(X[idx])
-                probs = acts[-1]
-                epoch_loss += -float(
-                    np.sum(np.log(probs[np.arange(len(idx)), y_idx[idx]] + 1e-12))
-                )
-                gW, gb = self._backward(acts, onehot[idx])
-                step += 1
-                corr1 = 1.0 - beta1**step
-                corr2 = 1.0 - beta2**step
-                for i in range(len(self._weights)):
-                    mW[i] = beta1 * mW[i] + (1 - beta1) * gW[i]
-                    vW[i] = beta2 * vW[i] + (1 - beta2) * gW[i] ** 2
-                    mb[i] = beta1 * mb[i] + (1 - beta1) * gb[i]
-                    vb[i] = beta2 * vb[i] + (1 - beta2) * gb[i] ** 2
-                    self._weights[i] -= (
-                        self.learning_rate
-                        * (mW[i] / corr1)
-                        / (np.sqrt(vW[i] / corr2) + eps)
-                    )
-                    self._biases[i] -= (
-                        self.learning_rate
-                        * (mb[i] / corr1)
-                        / (np.sqrt(vb[i] / corr2) + eps)
-                    )
-            epoch_loss /= n
-            self.loss_curve_.append(epoch_loss)
-            if epoch_loss < best_loss - self.tol:
-                best_loss = epoch_loss
-                stale = 0
-            else:
-                stale += 1
-                if stale >= self.patience:
-                    break
+        """Softmax cross-entropy training through the shared Adam core."""
+        onehot = np.zeros((len(X), len(self.classes_)))
+        onehot[np.arange(len(X)), y_idx] = 1.0
+        self._adam(X, (onehot, y_idx), epochs, rng, _cross_entropy)
 
     # -- inference -------------------------------------------------------------
 
@@ -232,7 +310,7 @@ class MLPClassifier(Classifier):
         X, _ = check_Xy(X)
         if len(self.classes_) == 1:
             return np.ones((len(X), 1))
-        return self._forward(X)[-1]
+        return _softmax(self._forward(X))
 
     def predict(self, X: np.ndarray) -> np.ndarray:
         if self.classes_ is None:
@@ -244,7 +322,7 @@ class MLPClassifier(Classifier):
         return self.classes_[np.argmax(probs, axis=1)]
 
 
-class MLPRegressor:
+class MLPRegressor(_MLP):
     """Multi-layer perceptron for scalar regression (MSE loss).
 
     Used by the scorer-style partitioning model, which regresses the
@@ -266,12 +344,6 @@ class MLPRegressor:
         tol: float = 1e-6,
         patience: int = 20,
     ):
-        if activation not in _ACTIVATIONS:
-            raise ValueError(f"unknown activation {activation!r}")
-        if any(h < 1 for h in hidden_layers):
-            raise ValueError("hidden layer sizes must be positive")
-        if epochs < 1 or batch_size < 1:
-            raise ValueError("epochs and batch_size must be positive")
         self.hidden_layers = tuple(hidden_layers)
         self.activation = activation
         self.learning_rate = learning_rate
@@ -281,23 +353,10 @@ class MLPRegressor:
         self.seed = seed
         self.tol = tol
         self.patience = patience
-        self._weights: list[np.ndarray] = []
-        self._biases: list[np.ndarray] = []
+        super().__init__()
         self._y_mean = 0.0
         self._y_scale = 1.0
         self._fitted = False
-        self.loss_curve_: list[float] = []
-
-    def _forward(self, X: np.ndarray) -> list[np.ndarray]:
-        act, _ = _ACTIVATIONS[self.activation]
-        a = X
-        activations = [a]
-        last = len(self._weights) - 1
-        for i, (W, b) in enumerate(zip(self._weights, self._biases)):
-            z = a @ W + b
-            a = z if i == last else act(z)  # identity output layer
-            activations.append(a)
-        return activations
 
     def fit(self, X: np.ndarray, y: np.ndarray) -> "MLPRegressor":
         X = np.asarray(X, dtype=np.float64)
@@ -306,73 +365,13 @@ class MLPRegressor:
             raise ValueError("X must be (n, d) and y must be (n,)")
         if not (np.isfinite(X).all() and np.isfinite(y).all()):
             raise ValueError("non-finite training data")
-        n, d = X.shape
         # Standardize the target for stable optimization.
         self._y_mean = float(y.mean())
         self._y_scale = float(y.std()) or 1.0
         yz = (y - self._y_mean) / self._y_scale
-
         rng = np.random.default_rng(self.seed)
-        sizes = [d, *self.hidden_layers, 1]
-        self._weights = []
-        self._biases = []
-        for fan_in, fan_out in zip(sizes[:-1], sizes[1:]):
-            limit = np.sqrt(6.0 / (fan_in + fan_out))
-            self._weights.append(rng.uniform(-limit, limit, size=(fan_in, fan_out)))
-            self._biases.append(np.zeros(fan_out))
-
-        act, dact = _ACTIVATIONS[self.activation]
-        mW = [np.zeros_like(W) for W in self._weights]
-        vW = [np.zeros_like(W) for W in self._weights]
-        mb = [np.zeros_like(b) for b in self._biases]
-        vb = [np.zeros_like(b) for b in self._biases]
-        beta1, beta2, eps = 0.9, 0.999, 1e-8
-        step = 0
-        batch = min(self.batch_size, n)
-        best_loss = np.inf
-        stale = 0
-        self.loss_curve_ = []
-        for _epoch in range(self.epochs):
-            order = rng.permutation(n)
-            epoch_loss = 0.0
-            for start in range(0, n, batch):
-                idx = order[start : start + batch]
-                acts = self._forward(X[idx])
-                pred = acts[-1][:, 0]
-                err = pred - yz[idx]
-                epoch_loss += float(err @ err)
-                delta = (err / len(idx))[:, None]
-                step += 1
-                corr1 = 1.0 - beta1**step
-                corr2 = 1.0 - beta2**step
-                for i in range(len(self._weights) - 1, -1, -1):
-                    gW = acts[i].T @ delta + self.l2 * self._weights[i]
-                    gb = delta.sum(axis=0)
-                    if i > 0:
-                        delta = (delta @ self._weights[i].T) * dact(acts[i])
-                    mW[i] = beta1 * mW[i] + (1 - beta1) * gW
-                    vW[i] = beta2 * vW[i] + (1 - beta2) * gW**2
-                    mb[i] = beta1 * mb[i] + (1 - beta1) * gb
-                    vb[i] = beta2 * vb[i] + (1 - beta2) * gb**2
-                    self._weights[i] -= (
-                        self.learning_rate
-                        * (mW[i] / corr1)
-                        / (np.sqrt(vW[i] / corr2) + eps)
-                    )
-                    self._biases[i] -= (
-                        self.learning_rate
-                        * (mb[i] / corr1)
-                        / (np.sqrt(vb[i] / corr2) + eps)
-                    )
-            epoch_loss /= n
-            self.loss_curve_.append(epoch_loss)
-            if epoch_loss < best_loss - self.tol:
-                best_loss = epoch_loss
-                stale = 0
-            else:
-                stale += 1
-                if stale >= self.patience:
-                    break
+        self._init_params(X.shape[1], 1, rng)
+        self._adam(X, (yz,), self.epochs, rng, _squared_error)
         self._fitted = True
         return self
 
@@ -380,5 +379,5 @@ class MLPRegressor:
         if not self._fitted:
             raise RuntimeError("regressor is not fitted")
         X = np.asarray(X, dtype=np.float64)
-        z = self._forward(X)[-1][:, 0]
+        z = self._forward(X)[:, 0]
         return z * self._y_scale + self._y_mean

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from mlp_reference import assert_same_network, use_reference
 from repro.benchsuite import get_benchmark
 from repro.core import (
     PartitioningScorerModel,
@@ -122,3 +123,18 @@ class TestScorerModel:
             if r.timings[pred.label] <= 2.0 * r.best_time:
                 hits += 1
         assert hits >= len(db.records) * 0.6
+
+    def test_mlp_scorer_matches_reference_regressor(self, db, monkeypatch):
+        # The shared Adam core against the per-array reference regressor
+        # loop, through the scorer (its only production caller).  Compared
+        # on this machine; no hash is pinned.
+        fused = PartitioningScorerModel("mlp-scorer", seed=0).fit(db)
+        use_reference(monkeypatch)
+        reference = PartitioningScorerModel("mlp-scorer", seed=0).fit(db)
+        n_rows = len(db) * len(fused._labels)
+        assert n_rows > 256 and n_rows % 256  # several batches, a ragged last one
+        assert_same_network(fused._regressor, reference._regressor)
+        assert np.array_equal(
+            fused._scores_matrix(fused._X), reference._scores_matrix(reference._X)
+        )
+        assert fused.predict_many(db) == reference.predict_many(db)

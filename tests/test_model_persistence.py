@@ -1,5 +1,8 @@
 """Tests for offline model persistence (train once, deploy later)."""
 
+import json
+
+import numpy as np
 import pytest
 
 from repro.benchsuite import get_benchmark
@@ -11,6 +14,7 @@ from repro.core import (
     save_model,
 )
 from repro.machines import MC2
+from repro.ml import MLPClassifier
 
 SUITE = tuple(get_benchmark(n) for n in ("vec_add", "mat_mul", "hotspot"))
 
@@ -62,3 +66,87 @@ def test_schema_version_checked(db, tmp_path):
     )
     with pytest.raises(ValueError, match="schema"):
         load_model(path)
+
+
+def _relu_mlp(db):
+    model = PartitioningModel("mlp", seed=3)
+    # The classifier seed matches the model's, which is what a loaded
+    # model's warm starts draw from.
+    model.classifier = MLPClassifier(
+        hidden_layers=(20, 6), activation="relu", epochs=200, seed=3
+    )
+    return model.fit(db)
+
+
+def test_relu_mlp_round_trip_keeps_architecture_and_predictions(db, tmp_path):
+    model = _relu_mlp(db)
+    path = tmp_path / "relu.json"
+    save_model(model, path)
+    loaded = load_model(path)
+    assert loaded.classifier.activation == "relu"
+    assert loaded.classifier.hidden_layers == (20, 6)
+    X, _, _ = db.matrices(model.feature_names_)
+    Xs = model.scaler.transform(X)
+    assert np.array_equal(
+        loaded.classifier.predict_proba(Xs), model.classifier.predict_proba(Xs)
+    )
+    original = [p.label for p in model.predict_many(db)]
+    assert [p.label for p in loaded.predict_many(db)] == original
+
+
+def _corrupt(path, edit):
+    doc = json.loads(path.read_text())
+    edit(doc["classifier"])
+    path.write_text(json.dumps(doc))
+
+
+@pytest.mark.parametrize(
+    "edit,layer",
+    [
+        pytest.param(lambda c: c.update(hidden_layers=[20, 7]), 1, id="hidden"),
+        pytest.param(lambda c: c["weights"][0].pop(), 0, id="input-row"),
+        pytest.param(lambda c: c["biases"][2].pop(), 2, id="bias"),
+        pytest.param(lambda c: c["classes"].pop(), 2, id="classes"),
+        pytest.param(
+            lambda c: (c["weights"].pop(), c["biases"].pop()), 2, id="missing-layer"
+        ),
+        pytest.param(
+            lambda c: (c["weights"].append([[0.0]]), c["biases"].append([0.0])),
+            3,
+            id="extra-layer",
+        ),
+    ],
+)
+def test_corrupted_mlp_document_fails_on_load(db, tmp_path, edit, layer):
+    path = tmp_path / "relu.json"
+    save_model(_relu_mlp(db), path)
+    _corrupt(path, edit)
+    with pytest.raises(ValueError, match=f"saved MLP layer {layer}:"):
+        load_model(path)
+
+
+def test_unknown_activation_fails_on_load(db, tmp_path):
+    path = tmp_path / "relu.json"
+    save_model(_relu_mlp(db), path)
+    _corrupt(path, lambda c: c.update(activation="swish"))
+    with pytest.raises(ValueError, match="swish"):
+        load_model(path)
+
+
+def test_continue_fit_on_loaded_mlp_matches_the_original(db, tmp_path):
+    model = _relu_mlp(db)
+    path = tmp_path / "relu.json"
+    save_model(model, path)
+    loaded = load_model(path)
+    X, y, _ = db.matrices(model.feature_names_)
+    Xs = model.scaler.transform(X)
+    model.classifier.continue_fit(Xs, y, epochs=15)
+    loaded.classifier.continue_fit(Xs, y, epochs=15)
+    for a, b in zip(model.classifier._weights, loaded.classifier._weights):
+        assert np.array_equal(a, b)
+    assert loaded.classifier.loss_curve_ == model.classifier.loss_curve_
+    # The loaded weights were repacked into one flat training buffer.
+    base = loaded.classifier._weights[0].base
+    assert base is not None
+    assert all(w.base is base for w in loaded.classifier._weights)
+    assert all(b.base is base for b in loaded.classifier._biases)
