@@ -36,7 +36,7 @@ from repro.benchsuite import all_benchmarks
 from repro.core import TrainingConfig
 from repro.fleet import ROUTING_POLICIES, FleetRouter
 from repro.machines import fleet_platforms
-from repro.serving import ServiceConfig, key_universe
+from repro.serving import ServiceConfig, key_universe, serve_trace
 from repro.workloads import WorkloadSpec, make_workload
 
 
@@ -53,7 +53,7 @@ def run_fleet(fleet_size: int, trace, policy: str, train_programs: int, seed: in
     )
     train_s = time.perf_counter() - t0
     t0 = time.perf_counter()
-    router.serve(trace)
+    serve_trace(router, trace)
     serve_wall_s = time.perf_counter() - t0
     stats = router.stats()
     return {

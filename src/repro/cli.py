@@ -55,6 +55,14 @@ their own simulated clock at ``--arrival-rate``, queue per replica, and
 the summary gains end-to-end latency percentiles; ``--slo-ms`` sets a
 latency target with violation tracking and ``--shed-policy
 deadline|priority`` enables admission control (see docs/SERVING.md).
+
+Every trace-serving command runs through one driver,
+:func:`_serve_workload`, over :func:`repro.serving.serve_trace`: a
+command validates its inputs, trains its backend (a service, a fleet or
+a cluster), generates its trace and names its summary printer; the
+driver serves the trace in either arrival mode, applies drift and
+reports.  Only ``serve`` without ``--arrival`` keeps its own loop, since
+it answers stdin line by line.
 """
 
 from __future__ import annotations
@@ -62,6 +70,8 @@ from __future__ import annotations
 import argparse
 import sys
 import time
+from contextlib import contextmanager, nullcontext
+from functools import partial
 from pathlib import Path
 
 from .benchsuite import all_benchmarks, get_benchmark
@@ -177,6 +187,15 @@ def _cmd_report(args: argparse.Namespace) -> int:
     return 0
 
 
+@contextmanager
+def _exit_on_error():
+    """Turn a library ``ValueError`` into a clean ``SystemExit(message)``."""
+    try:
+        yield
+    except ValueError as error:
+        raise SystemExit(str(error)) from error
+
+
 def _training_objective(args: argparse.Namespace):
     """The objective the predictor trains on for a serving command.
 
@@ -189,47 +208,69 @@ def _training_objective(args: argparse.Namespace):
     return objective if objective in MODEL_OBJECTIVES else Objective.MAKESPAN
 
 
-def _build_service(args: argparse.Namespace):
-    """Train a system and wrap it in a PartitioningService (serve/replay)."""
-    from .serving import PartitioningService, ServiceConfig
-
-    platform = machine_by_name(args.machine)
+def _train_benchmarks(args: argparse.Namespace):
+    """The (all, training-subset) benchmark split every serving command uses."""
+    if args.max_sizes is not None and args.max_sizes < 1:
+        raise SystemExit("--max-sizes must be >= 1")
     benchmarks = all_benchmarks()
     train_benchmarks = benchmarks
     if args.train_programs is not None:
         if not 1 <= args.train_programs <= len(benchmarks):
-            raise SystemExit(
-                f"--train-programs must be in [1, {len(benchmarks)}]"
-            )
+            raise SystemExit(f"--train-programs must be in [1, {len(benchmarks)}]")
         train_benchmarks = benchmarks[: args.train_programs]
-    config = TrainingConfig(
+    return benchmarks, train_benchmarks
+
+
+def _training_config(args: argparse.Namespace) -> TrainingConfig:
+    """The one-repetition campaign every serving and registry command runs."""
+    return TrainingConfig(
         repetitions=1,
         noise_sigma=args.noise,
         seed=args.seed,
         max_sizes=args.max_sizes,
     )
-    system = train_system(
+
+
+def _service_config(args: argparse.Namespace):
+    """The :class:`ServiceConfig` behind the shared service flag group."""
+    from .serving import ServiceConfig
+
+    with _exit_on_error():
+        return ServiceConfig(
+            cache_capacity=args.cache_capacity,
+            regression_threshold=args.threshold,
+            instance_seed=args.seed,
+            memoize=not args.no_memoize,
+            objective=args.objective,
+            power_cap_w=args.power_cap,
+        )
+
+
+def _train(args: argparse.Namespace, platform, train_benchmarks):
+    """Train one machine's system for a serving command."""
+    return train_system(
         platform,
         train_benchmarks,
         model_kind=args.model,
-        config=config,
+        config=_training_config(args),
         objective=_training_objective(args),
     )
-    try:
-        service = PartitioningService(
-            system,
-            ServiceConfig(
-                cache_capacity=args.cache_capacity,
-                regression_threshold=args.threshold,
-                instance_seed=args.seed,
-                memoize=not args.no_memoize,
-                objective=args.objective,
-                power_cap_w=args.power_cap,
-            ),
-        )
-    except ValueError as error:
-        raise SystemExit(str(error)) from error
-    return benchmarks, train_benchmarks, service
+
+
+def _service(system, config):
+    """Wrap a trained system; a config the platform cannot honour (a
+    power cap below its idle floor) exits with the message."""
+    from .serving import PartitioningService
+
+    with _exit_on_error():
+        return PartitioningService(system, config)
+
+
+def _build_service(args: argparse.Namespace, train_benchmarks):
+    """Train a system on ``--machine`` and wrap it in a PartitioningService."""
+    config = _service_config(args)  # fail on a bad knob before training
+    platform = machine_by_name(args.machine)
+    return _service(_train(args, platform, train_benchmarks), config)
 
 
 def _parse_drift_events(values: list[str]):
@@ -292,38 +333,46 @@ def _parse_fault_specs(values: list[str]):
     return tuple(specs)
 
 
-def _workload_from_args(args: argparse.Namespace, keys):
-    """Build the WorkloadSpec the serving commands share and generate it."""
+def _workload_from_args(args: argparse.Namespace, benchmarks, graphs: bool = False):
+    """The key universe and the generated trace a serving command replays.
+
+    Built before any training, so a bad generator flag fails at once.
+    ``graphs`` selects the task-graph ``pipeline`` family of graph-serve,
+    which mounts no generator flags of its own.
+    """
+    from .serving import key_universe
     from .workloads import WorkloadSpec, make_workload
 
-    if args.workload == "pipeline":
+    if graphs:
+        shape = {"family": "pipeline"}
+    elif args.workload == "pipeline":
         raise SystemExit(
             "the pipeline family emits task-graph requests; "
             "serve it with the graph-serve command"
         )
-    if args.faults and not args.arrival:
-        raise SystemExit(
-            "--faults needs the event-driven path; pick an --arrival process"
+    else:
+        shape = {
+            "family": args.workload,
+            "phases": args.phases,
+            "burst_every": args.burst_every,
+            "burst_length": args.burst_length,
+            "burst_share": args.burst_share,
+            "period": args.period,
+            "skew_min": args.skew_min,
+            "skew_max": args.skew_max,
+            "drift_events": _parse_drift_events(args.drift),
+        }
+    with _exit_on_error():
+        keys = key_universe(benchmarks, max_sizes=args.max_sizes)
+        spec = WorkloadSpec(
+            num_requests=args.requests,
+            skew=args.skew,
+            seed=args.seed,
+            arrival=args.arrival or "sequential",
+            rate_rps=args.arrival_rate,
+            **shape,
         )
-    _telemetry_mode(args)  # fail fast: tracing needs the event path
-    spec = WorkloadSpec(
-        family=args.workload,
-        num_requests=args.requests,
-        skew=args.skew,
-        seed=args.seed,
-        phases=args.phases,
-        burst_every=args.burst_every,
-        burst_length=args.burst_length,
-        burst_share=args.burst_share,
-        period=args.period,
-        skew_min=args.skew_min,
-        skew_max=args.skew_max,
-        drift_events=_parse_drift_events(args.drift),
-        faults=_parse_fault_specs(args.faults),
-        arrival=args.arrival or "sequential",
-        rate_rps=args.arrival_rate,
-    )
-    return make_workload(spec, keys)
+        return keys, make_workload(spec, keys)
 
 
 def _parse_tenant_priorities(values: list[str]):
@@ -342,14 +391,19 @@ def _parse_tenant_priorities(values: list[str]):
 def _serve_options_from_args(args: argparse.Namespace):
     """The :class:`ServeOptions` behind the shared serving flag groups.
 
-    Every serving command funnels through here, so ``--slo-ms`` or
-    ``--hedge-at`` mean exactly the same thing on one machine, a fleet
-    or a cluster.  Cluster-only flags are read defensively: commands
-    that don't mount the tenancy parent simply keep the defaults.
+    Every serving command funnels through here, before it trains
+    anything, so ``--slo-ms`` or ``--hedge-at`` mean exactly the same
+    thing on one machine, a fleet or a cluster, and a bad value fails
+    at once.  Cluster-only flags are read defensively: commands that
+    don't mount the tenancy parent simply keep the defaults.
     """
     from .faults import FaultSchedule
     from .serving import ServeOptions, SLOConfig
 
+    if args.faults and not args.arrival:
+        raise SystemExit(
+            "--faults needs the event-driven path; pick an --arrival process"
+        )
     target_s = args.slo_ms / 1e3 if args.slo_ms is not None else None
     specs = _parse_fault_specs(args.faults)
     faults = None
@@ -357,12 +411,13 @@ def _serve_options_from_args(args: argparse.Namespace):
         seed = args.fault_seed if args.fault_seed is not None else args.seed
         faults = FaultSchedule(specs=specs, seed=seed)
     priorities = _parse_tenant_priorities(getattr(args, "tenant_priority", []))
-    try:
+    with _exit_on_error():
         return ServeOptions(
             arrival=args.arrival or "sequential",
             telemetry=_telemetry_mode(args),
             rate_rps=args.arrival_rate,
             seed=args.seed,
+            batch_predict=not getattr(args, "no_batch", False),
             slo=SLOConfig(target_s=target_s, tenant_priorities=priorities),
             shed_policy=args.shed_policy,
             faults=faults,
@@ -376,19 +431,6 @@ def _serve_options_from_args(args: argparse.Namespace):
             work_steal=getattr(args, "work_steal", False),
             queue_discipline=getattr(args, "queue_discipline", "fifo"),
         )
-    except ValueError as error:
-        raise SystemExit(str(error)) from error
-
-
-def _event_config_from_args(args: argparse.Namespace, telemetry=None):
-    """The event-loop config behind ``--arrival/--slo-ms/--shed-policy``
-    and the fault-handling knobs (docs/FAULTS.md)."""
-    from dataclasses import replace
-
-    config = _serve_options_from_args(args).event_config()
-    if telemetry is not None:
-        config = replace(config, telemetry=telemetry)
-    return config
 
 
 def _telemetry_mode(args: argparse.Namespace) -> str:
@@ -402,13 +444,6 @@ def _telemetry_mode(args: argparse.Namespace) -> str:
             "the event-driven path; pick an --arrival process"
         )
     return mode
-
-
-def _telemetry_from_args(args: argparse.Namespace):
-    """The run's Telemetry context (or None), for the direct-loop paths."""
-    from .telemetry import Telemetry
-
-    return Telemetry.from_mode(_telemetry_mode(args))
 
 
 def _finish_telemetry(args, telemetry, backend=None, stats=None) -> None:
@@ -489,6 +524,20 @@ def _objective_quantity(service, value: float) -> str:
     return f"{value * 1e3:.3f} ms"
 
 
+def _engine_rows(service) -> list:
+    """The sweep-engine row of the single-service summaries (if memoizing)."""
+    if service.engine is None:
+        return []
+    es = service.engine.stats
+    return [
+        (
+            "sweep engine",
+            f"{es.compositions} compositions, "
+            f"{es.tape_hit_rate * 100.0:.1f}% tape hits",
+        )
+    ]
+
+
 def _print_service_summary(service, serialized: float, wall_s: float) -> None:
     """``serialized`` is the summed execute seconds of the served requests
     (streamed as a float so the event path never holds a response list)."""
@@ -558,15 +607,7 @@ def _print_service_summary(service, serialized: float, wall_s: float) -> None:
                 f"{stats.power_cap_violations} violations)",
             )
         )
-    if service.engine is not None:
-        es = service.engine.stats
-        rows.append(
-            (
-                "sweep engine",
-                f"{es.compositions} compositions, "
-                f"{es.tape_hit_rate * 100.0:.1f}% tape hits",
-            )
-        )
+    rows.extend(_engine_rows(service))
     print(format_table(["metric", "value"], rows, title="Serving summary"))
 
 
@@ -654,206 +695,208 @@ def _print_latency_summary(loop_stats) -> None:
     print(format_table(["metric", "value"], rows, title="Latency summary"))
 
 
-def _cmd_replay(args: argparse.Namespace) -> int:
-    from .serving import key_universe
+def _drift_handler(args: argparse.Namespace, backend, trace_length: int):
+    """The drift hook of every trace-serving command.
 
-    benchmarks, train_benchmarks, service = _build_service(args)
-    keys = key_universe(benchmarks, max_sizes=args.max_sizes)
-    workload = _workload_from_args(args, keys)
-    print(
-        f"trained on {len(train_benchmarks)}/{len(benchmarks)} programs "
-        f"({len(service.system.database)} records, model {args.model}) "
-        f"on {args.machine}"
-    )
-    print(
-        f"replaying {len(workload)} requests over {len(keys)} keys "
-        f"({args.workload} workload, skew {args.skew}, seed {args.seed}, "
-        f"{len(workload.drift_events)} drift events)"
-    )
-    if args.arrival:
-        return _replay_event_driven(args, service, workload)
-    responses = []
-    t0 = time.perf_counter()
-    for events, batch in workload.segments():
-        for event in events:
-            if event.machine is not None and event.machine != args.machine:
-                print(f"!! drift event targets {event.machine!r}, not {args.machine}")
-                continue
-            try:
-                service.system.runner.apply_drift(
-                    event.scale, device_index=event.device_index
-                )
-            except ValueError as error:
-                raise SystemExit(str(error)) from error
-            where = (
-                f"device {event.device_index}"
-                if event.device_index is not None
-                else "all devices"
-            )
-            print(f"-- drift: {where} x{event.scale:g} before request {len(responses)}")
-        if not batch:
-            continue
-        if args.no_batch:
-            responses.extend(service.serve(batch))
-        else:
-            responses.extend(service.submit_many(batch))
-    wall_s = time.perf_counter() - t0
-    _print_service_summary(service, sum(r.measured_s for r in responses), wall_s)
-    _finish_telemetry(args, _telemetry_from_args(args), backend=service)
-    return 0
-
-
-def _replay_event_driven(args: argparse.Namespace, service, workload) -> int:
-    """The open-loop replay: arrivals on a simulated clock, queueing, SLOs."""
-    from .serving import EventLoop
-
-    telemetry = _telemetry_from_args(args)
-    loop = EventLoop.for_service(
-        service, _event_config_from_args(args, telemetry)
-    )
+    Applies one workload :class:`DriftEvent` and logs it with the index
+    of the request it fires before (events past the end of the trace
+    report its length).  A single service skips an event aimed at
+    another machine; a fleet or cluster names the replicas it hit.
+    """
+    from .serving import PartitioningService
 
     def on_drift(event) -> None:
-        if event.machine is not None and event.machine != args.machine:
-            print(f"!! drift event targets {event.machine!r}, not {args.machine}")
-            return
-        try:
-            service.system.runner.apply_drift(
-                event.scale, device_index=event.device_index
-            )
-        except ValueError as error:
-            raise SystemExit(str(error)) from error
         where = (
             f"device {event.device_index}"
             if event.device_index is not None
             else "all devices"
         )
-        print(
-            f"-- drift: {where} x{event.scale:g} "
-            f"before request {loop.stats.arrivals}"
-        )
+        with _exit_on_error():
+            if not isinstance(backend, PartitioningService):
+                where = f"{', '.join(backend.apply_drift(event))} ({where})"
+            elif event.machine not in (None, args.machine):
+                print(f"!! drift event targets {event.machine!r}, not {args.machine}")
+                return
+            else:
+                backend.system.runner.apply_drift(
+                    event.scale, device_index=event.device_index
+                )
+        before = min(event.at_request, trace_length)
+        print(f"-- drift: {where} x{event.scale:g} before request {before}")
 
+    return on_drift
+
+
+def _print_event_banner(options) -> None:
+    """One line naming the event path's arrival process and knobs."""
+    knobs = [
+        f"shed policy {options.shed_policy}",
+        f"queue {options.queue_discipline}",
+    ]
+    if options.faults is not None:
+        knobs.append(f"{len(options.faults.specs)} fault windows")
+    if options.hedge_at:
+        knobs.append(f"hedge at p{options.hedge_at * 100:g}")
+    if options.speculate_at:
+        knobs.append(f"speculate at p{options.speculate_at * 100:g}")
+    if options.work_steal:
+        knobs.append("work-steal")
     print(
-        f"event-driven: {args.arrival} arrivals at {args.arrival_rate:g} req/s "
-        f"(shed policy {args.shed_policy}"
-        + (f", {len(args.faults)} fault windows" if args.faults else "")
-        + (f", hedge at p{args.hedge_at * 100:g}" if args.hedge_at else "")
-        + ")"
+        f"event-driven: {options.arrival} arrivals at {options.rate_rps:g} "
+        f"req/s ({', '.join(knobs)})"
     )
+
+
+def _serve_workload(
+    args: argparse.Namespace,
+    backend,
+    workload,
+    options,
+    summary=None,
+    *,
+    banner: bool = True,
+    report: bool = True,
+):
+    """The one serving path behind every trace-serving command.
+
+    With ``--arrival`` the whole timed trace goes through one
+    :func:`serve_trace` call and the event loop fires the drift events.
+    Without it, each segment's drift events are applied and its batch
+    is served closed-loop, one :func:`serve_trace` call per segment.
+    ``summary(serialized_s, wall_s)`` prints the command's own table,
+    where ``serialized_s`` sums a single service's executions in trace
+    order.  Unless ``report`` is off, the event path's latency table and
+    the telemetry report follow.  Returns the (last) :class:`ServeResult`.
+    """
+    from .serving import serve_trace
+
+    on_drift = _drift_handler(args, backend, len(workload))
+    event_path = options.arrival != "sequential"
+    if event_path and banner:
+        _print_event_banner(options)
     t0 = time.perf_counter()
-    stats = loop.run(workload.timed_items(), drift_handler=on_drift)
+    if event_path:
+        result = serve_trace(
+            backend, workload.timed_items(), options, drift_handler=on_drift
+        )
+        serialized = result.stats.execute_time_s
+    else:
+        serialized = 0.0
+        # An empty trace still makes one (empty) call, for its telemetry.
+        for events, batch in list(workload.segments()) or [((), ())]:
+            for event in events:
+                on_drift(event)
+            result = serve_trace(backend, batch, options)
+            if result.backend_kind == "service":
+                for response in result.responses:
+                    serialized += response.measured_s
     wall_s = time.perf_counter() - t0
-    _print_service_summary(service, stats.execute_time_s, wall_s)
-    _print_latency_summary(stats)
-    _finish_telemetry(args, telemetry, backend=service, stats=stats)
+    if summary is not None:
+        summary(serialized, wall_s)
+    if report:
+        if result.stats is not None:
+            _print_latency_summary(result.stats)
+        _finish_telemetry(
+            args, result.telemetry, backend=backend, stats=result.stats
+        )
+    return result
+
+
+def _print_trained(args: argparse.Namespace, benchmarks, train_benchmarks, service):
+    print(
+        f"trained on {len(train_benchmarks)}/{len(benchmarks)} programs "
+        f"({len(service.system.database)} records, model {args.model}) "
+        f"on {args.machine}"
+    )
+
+
+def _cmd_replay(args: argparse.Namespace) -> int:
+    options = _serve_options_from_args(args)
+    benchmarks, train_benchmarks = _train_benchmarks(args)
+    keys, workload = _workload_from_args(args, benchmarks)
+    service = _build_service(args, train_benchmarks)
+    _print_trained(args, benchmarks, train_benchmarks, service)
+    print(
+        f"replaying {len(workload)} requests over {len(keys)} keys "
+        f"({args.workload} workload, skew {args.skew}, seed {args.seed}, "
+        f"{len(workload.drift_events)} drift events)"
+    )
+    _serve_workload(
+        args, service, workload, options, partial(_print_service_summary, service)
+    )
     return 0
+
+
+def _read_requests(stream, known):
+    """``<program> <size>`` lines → ServingRequests, skipping comments and
+    reporting malformed lines as they stream in."""
+    from .serving import ServingRequest
+
+    count = 0
+    for line in stream:
+        line = line.strip()
+        if not line or line.startswith("#"):
+            continue
+        parts = line.split()
+        if (
+            len(parts) != 2
+            or parts[0] not in known
+            or not parts[1].isdigit()
+            or int(parts[1]) < 1
+        ):
+            print(f"!! malformed request {line!r} (want '<program> <size>')")
+            continue
+        yield ServingRequest(request_id=count, program=parts[0], size=int(parts[1]))
+        count += 1
 
 
 def _cmd_serve(args: argparse.Namespace) -> int:
-    from .serving import ServingRequest
+    from .telemetry import Telemetry
+    from .workloads import Workload, WorkloadSpec
 
-    if args.faults and not args.arrival:
-        raise SystemExit(
-            "--faults needs the event-driven path; pick an --arrival process"
-        )
-    _telemetry_mode(args)  # fail fast: tracing needs the event path
-    benchmarks, _train_benchmarks, service = _build_service(args)
+    options = _serve_options_from_args(args)
+    benchmarks, train_benchmarks = _train_benchmarks(args)
+    service = _build_service(args, train_benchmarks)
     known = {b.name for b in benchmarks}
-    stream = Path(args.trace).open() if args.trace else sys.stdin
     print(f"serving on {args.machine}; requests are '<program> <size>' lines")
-    requests = []
-    responses = []
-    t0 = time.perf_counter()
-    try:
-        for line in stream:
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            parts = line.split()
-            if (
-                len(parts) != 2
-                or parts[0] not in known
-                or not parts[1].isdigit()
-                or int(parts[1]) < 1
-            ):
-                print(f"!! malformed request {line!r} (want '<program> <size>')")
-                continue
-            request = ServingRequest(
-                request_id=len(requests), program=parts[0], size=int(parts[1])
-            )
-            requests.append(request)
-            if args.arrival:
-                # Event mode queues the whole trace on a simulated
-                # arrival clock; serving happens after the read loop.
-                continue
-            r = service.submit(request)
-            flags = ("hit" if r.cache_hit else "miss") + (
-                "+adapted" if r.adapted else ""
-            )
-            print(
-                f"{r.request.program}@{r.request.size}: {r.partitioning.label} "
-                f"{r.measured_s * 1e3:.3f} ms [{flags}]"
-            )
-            responses.append(r)
-    finally:
-        if args.trace:
-            stream.close()
-    if args.arrival:
-        return _serve_event_driven(args, service, requests, t0)
-    wall_s = time.perf_counter() - t0
-    if responses:
-        _print_service_summary(
-            service, sum(r.measured_s for r in responses), wall_s
+    with Path(args.trace).open() if args.trace else nullcontext(sys.stdin) as stream:
+        if not args.arrival:
+            served, serialized, t0 = 0, 0.0, time.perf_counter()
+            for request in _read_requests(stream, known):
+                r = service.submit(request)
+                flags = ("hit" if r.cache_hit else "miss") + (
+                    "+adapted" if r.adapted else ""
+                )
+                print(
+                    f"{r.request.program}@{r.request.size}: "
+                    f"{r.partitioning.label} {r.measured_s * 1e3:.3f} ms [{flags}]"
+                )
+                served += 1
+                serialized += r.measured_s
+            if served:
+                _print_service_summary(service, serialized, time.perf_counter() - t0)
+            telemetry = Telemetry.from_mode(options.telemetry)
+            _finish_telemetry(args, telemetry, backend=service)
+            return 0
+        # Event mode queues the whole trace on a simulated arrival clock,
+        # so it is served once the input is exhausted.
+        requests = tuple(_read_requests(stream, known))
+    if requests:
+        spec = WorkloadSpec(
+            num_requests=len(requests),
+            seed=args.seed,
+            arrival=args.arrival,
+            rate_rps=args.arrival_rate,
         )
-    _finish_telemetry(args, _telemetry_from_args(args), backend=service)
+        workload = Workload(spec=spec, requests=requests, drift_events=())
+        summary = partial(_print_service_summary, service)
+        _serve_workload(args, service, workload, options, summary)
     return 0
 
 
-def _serve_event_driven(args: argparse.Namespace, service, requests, t0) -> int:
-    """Event-mode ``serve``: arrival timestamps over the parsed trace."""
-    from .serving import EventLoop
-    from .workloads import WorkloadSpec, arrival_times
-
-    if not requests:
-        return 0
-    spec = WorkloadSpec(
-        num_requests=len(requests),
-        seed=args.seed,
-        arrival=args.arrival,
-        rate_rps=args.arrival_rate,
-    )
-    print(
-        f"event-driven: {args.arrival} arrivals at {args.arrival_rate:g} req/s "
-        f"(shed policy {args.shed_policy}"
-        + (f", {len(args.faults)} fault windows" if args.faults else "")
-        + (f", hedge at p{args.hedge_at * 100:g}" if args.hedge_at else "")
-        + ")"
-    )
-    telemetry = _telemetry_from_args(args)
-    loop = EventLoop.for_service(
-        service, _event_config_from_args(args, telemetry)
-    )
-    stats = loop.run(zip(arrival_times(spec), requests))
-    wall_s = time.perf_counter() - t0
-    _print_service_summary(service, stats.execute_time_s, wall_s)
-    _print_latency_summary(stats)
-    _finish_telemetry(args, telemetry, backend=service, stats=stats)
-    return 0
-
-
-def _fleet_train_benchmarks(args: argparse.Namespace):
-    """The (all, training-subset) benchmark split shared by fleet commands."""
-    benchmarks = all_benchmarks()
-    train_benchmarks = benchmarks
-    if args.train_programs is not None:
-        if not 1 <= args.train_programs <= len(benchmarks):
-            raise SystemExit(f"--train-programs must be in [1, {len(benchmarks)}]")
-        train_benchmarks = benchmarks[: args.train_programs]
-    return benchmarks, train_benchmarks
-
-
-def _cmd_fleet_train(args: argparse.Namespace) -> int:
+def _train_registry(args: argparse.Namespace, pools, title: str, pooled: bool) -> int:
+    """fleet-train / cluster-train: train and persist one model per machine."""
     from .fleet import ModelRegistry
-    from .machines import fleet_platforms
 
     if args.model not in PERSISTABLE_MODEL_KINDS:
         # Catch this before spending minutes on the first machine's
@@ -862,54 +905,55 @@ def _cmd_fleet_train(args: argparse.Namespace) -> int:
             f"--model {args.model!r} cannot be persisted; "
             f"choose from {', '.join(PERSISTABLE_MODEL_KINDS)}"
         )
-    _benchmarks, train_benchmarks = _fleet_train_benchmarks(args)
-    platforms = fleet_platforms(args.machines)
+    _benchmarks, train_benchmarks = _train_benchmarks(args)
     registry = ModelRegistry(args.registry)
-    config = TrainingConfig(
-        repetitions=1,
-        noise_sigma=args.noise,
-        seed=args.seed,
-        max_sizes=args.max_sizes,
-    )
+    config = _training_config(args)
     rows = []
-    for platform in platforms:
-        system = train_system(
-            platform, train_benchmarks, model_kind=args.model, config=config
-        )
-        path = registry.save(system)
-        rows.append((platform.name, len(system.database), args.model, str(path)))
-    print(
-        format_table(
-            ["machine", "records", "model", "path"],
-            rows,
-            title=f"Fleet training ({args.machines} machines)",
-        )
-    )
+    for pool, platforms in enumerate(pools):
+        for platform in platforms:
+            system = train_system(
+                platform, train_benchmarks, model_kind=args.model, config=config
+            )
+            path = registry.save(system)
+            row = (platform.name, len(system.database), args.model, str(path))
+            rows.append((pool, *row) if pooled else row)
+    headers = ["machine", "records", "model", "path"]
+    print(format_table(["pool", *headers] if pooled else headers, rows, title=title))
     return 0
+
+
+def _cmd_fleet_train(args: argparse.Namespace) -> int:
+    from .machines import fleet_platforms
+
+    with _exit_on_error():
+        platforms = fleet_platforms(args.machines)
+    title = f"Fleet training ({args.machines} machines)"
+    return _train_registry(args, [platforms], title, pooled=False)
+
+
+def _cmd_cluster_train(args: argparse.Namespace) -> int:
+    from .machines import cluster_platforms
+
+    with _exit_on_error():
+        pools = cluster_platforms(args.pools, args.machines_per_pool)
+    title = (
+        f"Cluster training ({args.pools} pools x "
+        f"{args.machines_per_pool} machines)"
+    )
+    return _train_registry(args, pools, title, pooled=True)
 
 
 def _cmd_fleet_serve(args: argparse.Namespace) -> int:
     from .fleet import FleetRouter, ModelRegistry
     from .machines import fleet_platforms
-    from .serving import PartitioningService, ServiceConfig, key_universe
 
-    benchmarks, train_benchmarks = _fleet_train_benchmarks(args)
-    platforms = fleet_platforms(args.machines)
+    options = _serve_options_from_args(args)
+    benchmarks, train_benchmarks = _train_benchmarks(args)
+    keys, workload = _workload_from_args(args, benchmarks)
+    with _exit_on_error():
+        platforms = fleet_platforms(args.machines)
+    config = _service_config(args)
     registry = ModelRegistry(args.registry) if args.registry else None
-    config = TrainingConfig(
-        repetitions=1,
-        noise_sigma=args.noise,
-        seed=args.seed,
-        max_sizes=args.max_sizes,
-    )
-    service_config = ServiceConfig(
-        cache_capacity=args.cache_capacity,
-        regression_threshold=args.threshold,
-        instance_seed=args.seed,
-        memoize=not args.no_memoize,
-        objective=args.objective,
-        power_cap_w=args.power_cap,
-    )
     services, sources = [], []
     for platform in platforms:
         if registry is not None and registry.has(platform.name):
@@ -926,90 +970,24 @@ def _cmd_fleet_serve(args: argparse.Namespace) -> int:
             )
             source = f"warm({donor})"
         else:
-            system = train_system(
-                platform,
-                train_benchmarks,
-                model_kind=args.model,
-                config=config,
-                objective=_training_objective(args),
-            )
+            system = _train(args, platform, train_benchmarks)
             source = "trained"
-        try:
-            services.append(PartitioningService(system, service_config))
-        except ValueError as error:
-            raise SystemExit(str(error)) from error
+        services.append(_service(system, config))
         sources.append(source)
     router = FleetRouter(services, policy=args.policy, registry=registry)
-    keys = key_universe(benchmarks, max_sizes=args.max_sizes)
-    workload = _workload_from_args(args, keys)
     print(
         f"fleet of {len(platforms)} machines (policy {args.policy}); "
         f"routing {len(workload)} requests over {len(keys)} keys "
         f"({args.workload} workload, skew {args.skew}, seed {args.seed}, "
         f"{len(workload.drift_events)} drift events)"
     )
-    if args.arrival:
-        return _fleet_serve_event_driven(args, router, sources, workload)
-    served = 0
-    t0 = time.perf_counter()
-    for events, batch in workload.segments():
-        for event in events:
-            try:
-                hit = router.apply_drift(event)
-            except ValueError as error:
-                raise SystemExit(str(error)) from error
-            where = (
-                f"device {event.device_index}"
-                if event.device_index is not None
-                else "all devices"
-            )
-            print(
-                f"-- drift: {', '.join(hit)} ({where}) x{event.scale:g} "
-                f"before request {served}"
-            )
-        router.serve(batch)
-        served += len(batch)
-    wall_s = time.perf_counter() - t0
-    _print_fleet_summary(router, sources, wall_s)
-    _finish_telemetry(args, _telemetry_from_args(args), backend=router)
-    return 0
-
-
-def _fleet_serve_event_driven(args, router, sources, workload) -> int:
-    """Event-mode fleet serving: place at arrival, queue per replica."""
-    from .serving import EventLoop
-
-    telemetry = _telemetry_from_args(args)
-    loop = EventLoop.for_fleet(router, _event_config_from_args(args, telemetry))
-
-    def on_drift(event) -> None:
-        try:
-            hit = router.apply_drift(event)
-        except ValueError as error:
-            raise SystemExit(str(error)) from error
-        where = (
-            f"device {event.device_index}"
-            if event.device_index is not None
-            else "all devices"
-        )
-        print(
-            f"-- drift: {', '.join(hit)} ({where}) x{event.scale:g} "
-            f"before request {loop.stats.arrivals}"
-        )
-
-    print(
-        f"event-driven: {args.arrival} arrivals at {args.arrival_rate:g} req/s "
-        f"(shed policy {args.shed_policy}"
-        + (f", {len(args.faults)} fault windows" if args.faults else "")
-        + (f", hedge at p{args.hedge_at * 100:g}" if args.hedge_at else "")
-        + ")"
+    _serve_workload(
+        args,
+        router,
+        workload,
+        options,
+        lambda _serialized, wall_s: _print_fleet_summary(router, sources, wall_s),
     )
-    t0 = time.perf_counter()
-    stats = loop.run(workload.timed_items(), drift_handler=on_drift)
-    wall_s = time.perf_counter() - t0
-    _print_fleet_summary(router, sources, wall_s)
-    _print_latency_summary(stats)
-    _finish_telemetry(args, telemetry, backend=router, stats=stats)
     return 0
 
 
@@ -1080,76 +1058,29 @@ def _print_fleet_summary(router, sources, wall_s: float) -> None:
     print(format_table(["metric", "value"], totals, title="Fleet totals"))
 
 
-def _cmd_cluster_train(args: argparse.Namespace) -> int:
-    from .fleet import ModelRegistry
-    from .machines import cluster_platforms
-
-    if args.model not in PERSISTABLE_MODEL_KINDS:
-        raise SystemExit(
-            f"--model {args.model!r} cannot be persisted; "
-            f"choose from {', '.join(PERSISTABLE_MODEL_KINDS)}"
-        )
-    _benchmarks, train_benchmarks = _fleet_train_benchmarks(args)
-    registry = ModelRegistry(args.registry)
-    config = TrainingConfig(
-        repetitions=1,
-        noise_sigma=args.noise,
-        seed=args.seed,
-        max_sizes=args.max_sizes,
-    )
-    rows = []
-    for pool, chunk in enumerate(
-        cluster_platforms(args.pools, args.machines_per_pool)
-    ):
-        for platform in chunk:
-            system = train_system(
-                platform, train_benchmarks, model_kind=args.model, config=config
-            )
-            path = registry.save(system)
-            rows.append(
-                (pool, platform.name, len(system.database), args.model, str(path))
-            )
-    print(
-        format_table(
-            ["pool", "machine", "records", "model", "path"],
-            rows,
-            title=(
-                f"Cluster training ({args.pools} pools x "
-                f"{args.machines_per_pool} machines)"
-            ),
-        )
-    )
-    return 0
-
-
 def _cmd_cluster_serve(args: argparse.Namespace) -> int:
     from dataclasses import replace
 
     from .cluster import ClusterRouter, NetworkSpec, with_tenants
-    from .serving import ServiceConfig, key_universe, serve_trace
 
-    benchmarks, train_benchmarks = _fleet_train_benchmarks(args)
     options = _serve_options_from_args(args)
-    try:
+    benchmarks, train_benchmarks = _train_benchmarks(args)
+    keys, workload = _workload_from_args(args, benchmarks)
+    if args.tenants:
+        tenants = tuple(t.strip() for t in args.tenants.split(",") if t.strip())
+        if not tenants:
+            raise SystemExit("--tenants: want a comma-separated tenant list")
+        workload = replace(
+            workload, requests=with_tenants(workload.requests, tenants)
+        )
+    with _exit_on_error():
         cluster = ClusterRouter.build(
             pools=args.pools,
             machines_per_pool=args.machines_per_pool,
             benchmarks=train_benchmarks,
             model_kind=args.model,
-            training=TrainingConfig(
-                repetitions=1,
-                noise_sigma=args.noise,
-                seed=args.seed,
-                max_sizes=args.max_sizes,
-            ),
-            serving=ServiceConfig(
-                cache_capacity=args.cache_capacity,
-                regression_threshold=args.threshold,
-                instance_seed=args.seed,
-                memoize=not args.no_memoize,
-                objective=args.objective,
-                power_cap_w=args.power_cap,
-            ),
+            training=_training_config(args),
+            serving=_service_config(args),
             policy=args.policy,
             network=NetworkSpec(
                 bandwidth_gbs=args.net_bandwidth,
@@ -1157,17 +1088,6 @@ def _cmd_cluster_serve(args: argparse.Namespace) -> int:
                 link_watts=args.net_watts,
             ),
             slo=options.slo,
-        )
-    except ValueError as error:
-        raise SystemExit(str(error)) from error
-    keys = key_universe(benchmarks, max_sizes=args.max_sizes)
-    workload = _workload_from_args(args, keys)
-    if args.tenants:
-        tenants = tuple(t.strip() for t in args.tenants.split(",") if t.strip())
-        if not tenants:
-            raise SystemExit("--tenants: want a comma-separated tenant list")
-        workload = replace(
-            workload, requests=with_tenants(workload.requests, tenants)
         )
     num_tenants = len({r.tenant for r in workload.requests})
     print(
@@ -1178,52 +1098,13 @@ def _cmd_cluster_serve(args: argparse.Namespace) -> int:
         f"{len(keys)} keys ({args.workload} workload, skew {args.skew}, "
         f"seed {args.seed})"
     )
-
-    def on_drift(event) -> None:
-        try:
-            hit = cluster.apply_drift(event)
-        except ValueError as error:
-            raise SystemExit(str(error)) from error
-        where = (
-            f"device {event.device_index}"
-            if event.device_index is not None
-            else "all devices"
-        )
-        print(f"-- drift: {', '.join(hit)} ({where}) x{event.scale:g}")
-
-    t0 = time.perf_counter()
-    if args.arrival:
-        print(
-            f"event-driven: {args.arrival} arrivals at "
-            f"{args.arrival_rate:g} req/s (shed policy {args.shed_policy}, "
-            f"queue {args.queue_discipline}"
-            + (
-                f", speculate at p{args.speculate_at * 100:g}"
-                if args.speculate_at
-                else ""
-            )
-            + (", work-steal" if args.work_steal else "")
-            + ")"
-        )
-        result = serve_trace(
-            cluster, workload.timed_items(), options, drift_handler=on_drift
-        )
-        wall_s = time.perf_counter() - t0
-        _print_cluster_summary(cluster, wall_s)
-        _print_latency_summary(result.stats)
-        _finish_telemetry(
-            args, result.telemetry, backend=cluster, stats=result.stats
-        )
-    else:
-        result = None
-        for events, batch in workload.segments():
-            for event in events:
-                on_drift(event)
-            result = serve_trace(cluster, batch, options)
-        wall_s = time.perf_counter() - t0
-        _print_cluster_summary(cluster, wall_s)
-        if result is not None:
-            _finish_telemetry(args, result.telemetry, backend=cluster)
+    _serve_workload(
+        args,
+        cluster,
+        workload,
+        options,
+        lambda _serialized, wall_s: _print_cluster_summary(cluster, wall_s),
+    )
     return 0
 
 
@@ -1788,78 +1669,42 @@ def _cmd_graph_sweep(args: argparse.Namespace) -> int:
     return 0
 
 
-def _service_drift_handler(args: argparse.Namespace, service):
-    """Drift hook for the single-service telemetry commands."""
-
-    def on_drift(event) -> None:
-        if event.machine is not None and event.machine != args.machine:
-            print(f"!! drift event targets {event.machine!r}, not {args.machine}")
-            return
-        try:
-            service.system.runner.apply_drift(
-                event.scale, device_index=event.device_index
-            )
-        except ValueError as error:
-            raise SystemExit(str(error)) from error
-
-    return on_drift
-
-
 def _cmd_trace_export(args: argparse.Namespace) -> int:
     """Serve a synthetic workload with tracing on; write the JSONL spans."""
-    from .serving import key_universe, serve_trace
-
     if not args.trace_out:
         raise SystemExit("trace-export needs --trace-out PATH")
     args.telemetry = "trace"
     if not args.arrival:
         args.arrival = "poisson"
-    benchmarks, _train_benchmarks, service = _build_service(args)
-    keys = key_universe(benchmarks, max_sizes=args.max_sizes)
-    workload = _workload_from_args(args, keys)
     options = _serve_options_from_args(args)
+    benchmarks, train_benchmarks = _train_benchmarks(args)
+    keys, workload = _workload_from_args(args, benchmarks)
+    service = _build_service(args, train_benchmarks)
     print(
         f"tracing {len(workload)} requests over {len(keys)} keys "
         f"({args.workload} workload, {args.arrival} arrivals at "
         f"{args.arrival_rate:g} req/s, seed {args.seed})"
     )
-    result = serve_trace(
-        service,
-        workload.timed_items(),
-        options,
-        drift_handler=_service_drift_handler(args, service),
-    )
-    _print_latency_summary(result.stats)
-    _finish_telemetry(
-        args, result.telemetry, backend=service, stats=result.stats
-    )
+    _serve_workload(args, service, workload, options, banner=False)
     return 0
 
 
 def _cmd_metrics_report(args: argparse.Namespace) -> int:
     """Serve a synthetic workload; print the unified metrics registry."""
-    from .serving import key_universe, serve_trace
-
     if _telemetry_mode(args) == "off":
         args.telemetry = "metrics"
-    benchmarks, _train_benchmarks, service = _build_service(args)
-    keys = key_universe(benchmarks, max_sizes=args.max_sizes)
-    workload = _workload_from_args(args, keys)
     options = _serve_options_from_args(args)
+    benchmarks, train_benchmarks = _train_benchmarks(args)
+    keys, workload = _workload_from_args(args, benchmarks)
+    service = _build_service(args, train_benchmarks)
     print(
         f"serving {len(workload)} requests over {len(keys)} keys "
         f"({args.workload} workload, seed {args.seed}) "
         f"with telemetry={options.telemetry}"
     )
-    if args.arrival:
-        result = serve_trace(
-            service,
-            workload.timed_items(),
-            options,
-            drift_handler=_service_drift_handler(args, service),
-        )
-    else:
-        result = serve_trace(service, list(workload.requests), options)
+    result = _serve_workload(
+        args, service, workload, options, banner=False, report=False
+    )
     _print_metrics_report(result.telemetry.registry, as_json=args.json)
     if result.telemetry.tracing and args.trace_out:
         result.telemetry.tracer.export(args.trace_out)
@@ -1867,57 +1712,15 @@ def _cmd_metrics_report(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_graph_serve(args: argparse.Namespace) -> int:
-    from .serving import key_universe
-    from .workloads import WorkloadSpec, make_workload
-
-    benchmarks, train_benchmarks, service = _build_service(args)
-    keys = key_universe(benchmarks, max_sizes=args.max_sizes)
-    spec = WorkloadSpec(
-        family="pipeline",
-        num_requests=args.requests,
-        skew=args.skew,
-        seed=args.seed,
-        arrival=args.arrival or "sequential",
-        rate_rps=args.arrival_rate,
-    )
-    workload = make_workload(spec, keys)
-    graphs = {r.graph.signature_label for r in workload.requests}
-    print(
-        f"trained on {len(train_benchmarks)}/{len(benchmarks)} programs "
-        f"({len(service.system.database)} records, model {args.model}) "
-        f"on {args.machine}"
-    )
-    print(
-        f"serving {len(workload)} task-graph requests over {len(graphs)} "
-        f"distinct pipelines (skew {args.skew}, seed {args.seed})"
-    )
-    t0 = time.perf_counter()
-    telemetry = _telemetry_from_args(args)
-    if args.arrival:
-        from .serving import EventLoop
-
-        loop = EventLoop.for_service(
-            service, _event_config_from_args(args, telemetry)
-        )
-        print(
-            f"event-driven: {args.arrival} arrivals at {args.arrival_rate:g} req/s"
-        )
-        loop_stats = loop.run(workload.timed_items())
-        wall_s = time.perf_counter() - t0
-        serialized = loop_stats.execute_time_s
-    else:
-        serialized = 0.0
-        for request in workload.requests:
-            serialized += service.submit_graph(request).measured_s
-        wall_s = time.perf_counter() - t0
-        loop_stats = None
+def _print_graph_summary(
+    service, pipelines: int, serialized: float, wall_s: float
+) -> None:
     stats = service.stats
     cache = service.cache.stats
     rows = [
         ("objective", service.config.objective.value),
         ("graph requests", f"{stats.graph_requests}"),
-        ("distinct pipelines", f"{len(graphs)}"),
+        ("distinct pipelines", f"{pipelines}"),
         (
             "plan cache hit rate",
             f"{cache.hit_rate * 100.0:.1f}% "
@@ -1941,19 +1744,23 @@ def _cmd_graph_serve(args: argparse.Namespace) -> int:
         ),
         ("served energy", f"{stats.energy_j:.3f} J"),
     ]
-    if service.engine is not None:
-        es = service.engine.stats
-        rows.append(
-            (
-                "sweep engine",
-                f"{es.compositions} compositions, "
-                f"{es.tape_hit_rate * 100.0:.1f}% tape hits",
-            )
-        )
+    rows.extend(_engine_rows(service))
     print(format_table(["metric", "value"], rows, title="Graph serving summary"))
-    if loop_stats is not None:
-        _print_latency_summary(loop_stats)
-    _finish_telemetry(args, telemetry, backend=service, stats=loop_stats)
+
+
+def _cmd_graph_serve(args: argparse.Namespace) -> int:
+    options = _serve_options_from_args(args)
+    benchmarks, train_benchmarks = _train_benchmarks(args)
+    _keys, workload = _workload_from_args(args, benchmarks, graphs=True)
+    service = _build_service(args, train_benchmarks)
+    pipelines = len({r.graph.signature_label for r in workload.requests})
+    _print_trained(args, benchmarks, train_benchmarks, service)
+    print(
+        f"serving {len(workload)} task-graph requests over {pipelines} "
+        f"distinct pipelines (skew {args.skew}, seed {args.seed})"
+    )
+    summary = partial(_print_graph_summary, service, pipelines)
+    _serve_workload(args, service, workload, options, summary)
     return 0
 
 

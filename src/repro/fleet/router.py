@@ -671,11 +671,6 @@ class FleetRouter:
         """Place and serve one request; returns the placement + response."""
         return self.serve_on(self.place(request), request)
 
-    def serve(self, trace: Sequence[ServingRequest]) -> list[FleetResponse]:
-        """Route a whole trace; placement is sequential by design (the
-        least-loaded and predicted policies depend on prior placements)."""
-        return [self.submit(r) for r in trace]
-
     # -- telemetry ---------------------------------------------------------
 
     def replica_health(self, index: int) -> ReplicaHealthView:

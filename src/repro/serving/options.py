@@ -2,7 +2,7 @@
 
 The serving surface grew an entrypoint per capability — ``submit`` for
 one request, ``submit_many`` for batched prediction, ``submit_graph``
-for DAGs, ``FleetRouter.serve`` for fleets, ``EventLoop.run`` for
+for DAGs, a ``serve`` per router for fleets, ``EventLoop.run`` for
 open-loop arrivals — each with its own knob set.  This module folds
 them behind two names:
 
@@ -26,13 +26,15 @@ path, responses returned in order).  The open-loop processes
 ``on_complete`` and the result carries the loop's bounded-memory
 stats instead of a response list.
 
-The pre-existing entrypoints still exist as thin shims over this
-facade and their outputs are golden-pinned bit-identical — old callers
-see nothing.  The shims are for outside callers only: the facade's own
-sequential path, the event loop and the routers call the per-request
-cores (``PartitioningService._submit`` / ``_submit_graph``,
-``FleetRouter.serve_on``, ``ClusterRouter.serve_on``) directly, so one
-``serve_trace`` call enters the facade once, however long the trace.
+The service's entrypoints (``submit``, ``submit_many``, ``serve``,
+``submit_graph``) still exist as thin shims over this facade, and
+their outputs are golden-pinned bit-identical; ``FleetRouter.serve`` is
+gone, since ``serve_trace(fleet, trace)`` is the same sequential
+placement.  The shims are for outside callers only: the facade's own sequential path, the event loop and the routers
+call the per-request cores (``PartitioningService._submit`` /
+``_submit_graph``, ``FleetRouter.serve_on``, ``ClusterRouter.serve_on``)
+directly, so one ``serve_trace`` call enters the facade once, however
+long the trace.
 """
 
 from __future__ import annotations

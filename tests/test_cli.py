@@ -1,6 +1,7 @@
 """Tests for the command-line interface."""
 
 import json
+import re
 
 import pytest
 
@@ -381,3 +382,54 @@ class TestTrainAndReport:
         assert "REPRODUCTION REPORT" in report
         assert "Figure 1 [mc2]" in report
         assert "Size sensitivity" in report
+
+
+class TestOneServingPath:
+    TINY = ["--train-programs", "2", "--max-sizes", "1", "--model", "knn"]
+
+    def test_graph_serve_rejects_faults_without_arrival(self):
+        with pytest.raises(SystemExit, match="event-driven"):
+            main(["graph-serve", "--requests", "5", *self.TINY,
+                  "--faults", "crash:0.1:0.1"])
+
+    def test_metrics_report_applies_sequential_drift(self, capsys):
+        drift = ["--requests", "20", *self.TINY, "--drift", "3:0.2"]
+        assert main(["replay", *drift]) == 0
+        replay = capsys.readouterr().out
+        assert "-- drift: all devices x0.2 before request 3" in replay
+        flags = int(re.search(r"^drift\s+(\d+) flags", replay, re.M).group(1))
+        assert main(["metrics-report", *drift, "--json"]) == 0
+        out = capsys.readouterr().out
+        assert "-- drift: all devices x0.2 before request 3" in out
+        payload = json.loads(out[out.index("{"):])
+        assert flags >= 1
+        assert payload["service.drift_flags"] == flags
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            pytest.param(["replay", "--max-sizes", "0"], "--max-sizes",
+                         id="replay-max-sizes-0"),
+            pytest.param(["replay", "--skew", "-1"], "skew",
+                         id="replay-negative-skew"),
+            pytest.param(["replay", "--requests", "-3"], "num_requests",
+                         id="replay-negative-requests"),
+            pytest.param(["replay", "--arrival", "poisson",
+                          "--arrival-rate", "0"], "rate_rps",
+                         id="replay-zero-arrival-rate"),
+            pytest.param(["fleet-serve", "--machines", "0"],
+                         "count must be >= 1", id="fleet-serve-no-machines"),
+            pytest.param(["fleet-train", "--machines", "0",
+                          "--registry", "unused"],
+                         "count must be >= 1", id="fleet-train-no-machines"),
+        ],
+    )
+    def test_bad_inputs_fail_before_training(self, monkeypatch, argv, message):
+        import repro.cli as cli
+
+        def no_training(*_args, **_kwargs):
+            pytest.fail("trained a system before rejecting a bad input")
+
+        monkeypatch.setattr(cli, "train_system", no_training)
+        with pytest.raises(SystemExit, match=message):
+            main([*argv, "--train-programs", "2", "--model", "knn"])

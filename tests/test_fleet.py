@@ -12,6 +12,7 @@ from repro.serving import (
     ServiceConfig,
     ServingRequest,
     key_universe,
+    serve_trace,
     zipf_trace,
 )
 
@@ -112,7 +113,7 @@ class TestRouterConstruction:
 class TestRouting:
     def test_serve_places_every_request(self, duo_router):
         trace = _trace(30)
-        responses = duo_router.serve(trace)
+        responses = serve_trace(duo_router, trace).responses
         assert len(responses) == 30
         assert sum(r.routed for r in duo_router.replicas) == 30
         assert all(
@@ -129,7 +130,7 @@ class TestRouting:
     def test_affinity_is_stable_per_key(self):
         router = _router(fleet_platforms(2), policy="affinity")
         trace = _trace(30)
-        responses = router.serve(trace)
+        responses = serve_trace(router, trace).responses
         placement: dict[tuple[str, int], int] = {}
         for fr in responses:
             key = (fr.response.request.program, fr.response.request.size)
@@ -137,8 +138,11 @@ class TestRouting:
 
     def test_routing_is_deterministic(self):
         for policy in ROUTING_POLICIES:
-            a = _router(fleet_platforms(2), policy=policy).serve(_trace(25))
-            b = _router(fleet_platforms(2), policy=policy).serve(_trace(25))
+            a, b = (
+                serve_trace(_router(fleet_platforms(2), policy=policy), _trace(25))
+                .responses
+                for _ in range(2)
+            )
             assert [fr.replica_index for fr in a] == [fr.replica_index for fr in b]
             assert [fr.response.partitioning for fr in a] == [
                 fr.response.partitioning for fr in b
@@ -173,7 +177,7 @@ class TestRouting:
 
     def test_predicted_probing_does_not_touch_serving_telemetry(self):
         router = _router(fleet_platforms(2), policy="predicted")
-        router.serve(_trace(10))
+        serve_trace(router, _trace(10))
         for replica in router.replicas:
             # Only served requests hit the runner (plus adaptation
             # probes); duration estimation runs on a private runner.
@@ -199,8 +203,8 @@ class TestFleetStats:
         trace = _trace(40)
         solo = _router(fleet_platforms(1))
         duo = _router(fleet_platforms(2))
-        solo.serve(trace)
-        duo.serve(trace)
+        serve_trace(solo, trace)
+        serve_trace(duo, trace)
         assert duo.stats().throughput_rps >= solo.stats().throughput_rps
 
     def test_idle_fleet_reports_zeros(self):
